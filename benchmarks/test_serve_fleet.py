@@ -29,7 +29,6 @@ from repro.serve import build_load_trace, run_fleet_loadgen
 
 SHARD_COUNTS = (1, 2, 4)
 QUEUE_BOUND = 256
-WORKERS = 2
 CONNECTIONS = 8
 WINDOW = 16
 PRESSURE_QUEUE_BOUND = 8
@@ -50,7 +49,6 @@ def test_serve_fleet_scaling(record, emit):
             shards=shards,
             queue_bound=QUEUE_BOUND,
             policy="block",
-            workers=WORKERS,
             connections=CONNECTIONS,
             window=WINDOW,
             slo_ms=SLO_MS,
@@ -86,7 +84,6 @@ def test_serve_fleet_scaling(record, emit):
         shards=2,
         queue_bound=PRESSURE_QUEUE_BOUND,
         policy="shed",
-        workers=WORKERS,
         connections=CONNECTIONS,
         rate=2.0 * c1,
         slo_ms=SLO_MS,
@@ -104,8 +101,8 @@ def test_serve_fleet_scaling(record, emit):
     )
     lines = [
         f"Fleet scaling ({detector.name}, {len(payloads)} payloads, "
-        f"closed-loop block, queue {QUEUE_BOUND}/shard, "
-        f"{WORKERS} workers/shard; modeled = N x C1 x efficiency)",
+        f"closed-loop block, queue {QUEUE_BOUND}/shard; "
+        f"modeled = N x C1 x efficiency)",
         header,
         "-" * len(header),
     ]
@@ -135,7 +132,6 @@ def test_serve_fleet_scaling(record, emit):
         metrics={
             "requests": len(payloads),
             "queue_bound": QUEUE_BOUND,
-            "workers_per_shard": WORKERS,
             "c1_rps": round(c1, 1),
             "modeled_speedup_at_4": scaling[-1]["modeled_speedup"],
             "parity_ok": True,

@@ -24,7 +24,6 @@ from repro.serve import SignatureStore, build_load_trace, run_loadgen
 QUEUE_BOUNDS = (8, 256)
 CONNECTIONS = 16
 WINDOW = 16  # max outstanding = 256: the roomy queue rarely sheds
-WORKERS = 4
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +54,7 @@ def test_serve_loadgen(detectors, record, emit):
     lines = [
         "Gateway load generator (shed policy, "
         f"{CONNECTIONS} connections x window {WINDOW}, "
-        f"{WORKERS} workers, {len(payloads)} payloads)",
+        f"{len(payloads)} payloads)",
         header,
         "-" * len(header),
     ]
@@ -67,7 +66,6 @@ def test_serve_loadgen(detectors, record, emit):
                 payloads,
                 queue_bound=bound,
                 policy="shed",
-                workers=WORKERS,
                 connections=CONNECTIONS,
                 window=WINDOW,
             ))

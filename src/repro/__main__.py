@@ -265,7 +265,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 control_port=args.control_port,
                 queue_bound=args.queue_bound,
                 policy=args.policy,
-                workers=args.serve_workers,
                 max_inflight_per_connection=args.max_inflight,
                 signature_path=reload_path,
                 surfaces=args.surfaces,
@@ -287,7 +286,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         queue_bound=args.queue_bound,
         policy=args.policy,
-        workers=args.serve_workers,
         max_inflight_per_connection=args.max_inflight,
         surfaces=surfaces,
     ))
@@ -344,7 +342,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             surfaces=surfaces,
             queue_bound=args.queue_bound,
             policy=args.policy,
-            workers=args.serve_workers,
             connections=args.connections,
             window=args.window,
             check_parity=args.check_parity,
@@ -362,7 +359,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             shards=args.shards,
             queue_bound=args.queue_bound,
             policy=args.policy,
-            workers=args.serve_workers,
             connections=args.connections,
             window=args.window,
             rate=args.rate,
@@ -379,7 +375,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         payloads,
         queue_bound=args.queue_bound,
         policy=args.policy,
-        workers=args.serve_workers,
         connections=args.connections,
         window=args.window,
         check_parity=args.check_parity,
@@ -914,10 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="block",
             help="full-queue behaviour (default: block); 'cost' sheds "
                  "expensive payloads first once the queue is congested",
-        )
-        command.add_argument(
-            "--serve-workers", type=int, default=4,
-            help="detector worker coroutines (default: 4)",
         )
 
     serve = sub.add_parser(

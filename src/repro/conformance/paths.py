@@ -239,11 +239,9 @@ class GatewayPath(DetectorPath):
         *,
         connections: int = 2,
         window: int = 32,
-        workers: int = 4,
     ) -> None:
         self.connections = connections
         self.window = window
-        self.workers = workers
 
     def run(self, detector, payloads: list[str]) -> list[Verdict]:
         """Replay *payloads* against a live gateway and decode."""
@@ -257,7 +255,6 @@ class GatewayPath(DetectorPath):
                 GatewayConfig(
                     queue_bound=max(64, len(payloads)),
                     policy="block",
-                    workers=self.workers,
                 ),
             )
             host, port = await gateway.start()
@@ -334,11 +331,9 @@ class GatewayFramedPath(DetectorPath):
         *,
         connections: int = 2,
         window: int = 32,
-        workers: int = 4,
     ) -> None:
         self.connections = connections
         self.window = window
-        self.workers = workers
 
     def run(self, detector, payloads: list[str]) -> list[Verdict]:
         """Replay framed requests against a live gateway and decode."""
@@ -355,7 +350,6 @@ class GatewayFramedPath(DetectorPath):
                 GatewayConfig(
                     queue_bound=max(64, len(payloads)),
                     policy="block",
-                    workers=self.workers,
                 ),
             )
             host, port = await gateway.start()
@@ -417,7 +411,6 @@ class ShardedGatewayPath(DetectorPath):
         shards: int = 2,
         connections: int = 4,
         window: int = 32,
-        workers: int = 2,
         midstream_reload: bool = False,
     ) -> None:
         if shards < 1:
@@ -425,7 +418,6 @@ class ShardedGatewayPath(DetectorPath):
         self.shards = shards
         self.connections = connections
         self.window = window
-        self.workers = workers
         self.midstream_reload = midstream_reload
         suffix = "-reload" if midstream_reload else ""
         self.name = f"fleet-s{shards}{suffix}"
@@ -453,7 +445,6 @@ class ShardedGatewayPath(DetectorPath):
                 shards=self.shards,
                 queue_bound=max(64, len(payloads)),
                 policy="block",
-                workers=self.workers,
             ))
             host, port = await supervisor.start()
             try:

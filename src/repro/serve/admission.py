@@ -30,7 +30,13 @@ requests before any shard sheds, and one slow shard cannot stall its
 siblings' queues.
 
 Shutdown is a drain, not an abort: the controller stops admitting,
-workers finish what was queued, then the gateway closes.
+the drain task finishes what was queued, then the gateway closes.
+
+The consumer takes the whole queue per wake-up (:meth:`get_batch`).  A
+gateway's inspections never await, so no submitter runs while a batch
+is being serviced: at every point another coroutine can observe, the
+depth is exactly the admitted-but-unserviced count, as with a
+one-at-a-time consumer.
 """
 
 from __future__ import annotations
@@ -111,7 +117,7 @@ class AdmissionController:
 
     @property
     def depth(self) -> int:
-        """Requests currently admitted and waiting for a worker."""
+        """Requests currently admitted and waiting to be serviced."""
         return self._queue.qsize()
 
     @property
@@ -163,13 +169,18 @@ class AdmissionController:
                 f"queue full ({self._queue.maxsize} waiting)"
             ) from None
 
-    async def get(self) -> Any:
-        """Worker side: next admitted item (waits while the queue is empty)."""
-        return await self._queue.get()
+    async def get_batch(self) -> list[Any]:
+        """Consumer side: every queued item, oldest first (waits while
+        the queue is empty).  Report them with :meth:`task_done`."""
+        batch = [await self._queue.get()]
+        while not self._queue.empty():
+            batch.append(self._queue.get_nowait())
+        return batch
 
-    def task_done(self) -> None:
-        """Worker side: mark the most recently fetched item serviced."""
-        self._queue.task_done()
+    def task_done(self, count: int = 1) -> None:
+        """Consumer side: mark ``count`` fetched items serviced."""
+        for _ in range(count):
+            self._queue.task_done()
 
     def close(self) -> None:
         """Stop admitting; already-queued items will still be serviced."""

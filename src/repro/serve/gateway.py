@@ -7,13 +7,14 @@ Structure (one listening port, both dialects of ``protocol.py``):
   current :class:`~repro.serve.store.StoreVersion` **at admission time**
   — a concurrent hot-swap never changes which signature generation
   answers an already-admitted request.
-- A fixed pool of worker coroutines drains the queue and runs
-  ``detector.inspect`` (pure CPU, microseconds per payload — see
-  Experiment 4 — so coroutine workers suffice; process fan-out stays in
-  ``repro.parallel`` for offline batches).
+- One drain task takes every queued job per wake-up and runs
+  ``detector.inspect`` on each without awaiting (pure CPU, microseconds
+  per payload — see Experiment 4 — so one coroutine suffices; process
+  fan-out stays in ``repro.parallel`` for offline batches).
 - A writer per connection emits responses strictly in request order, so
   clients correlate by position exactly like the offline engine's
-  per-index ``EngineRun`` vectors.
+  per-index ``EngineRun`` vectors.  It sends every response resolved at
+  the head of its connection's :class:`_Outbox` with one write.
 
 Per-connection pipelining is bounded: once ``max_inflight_per_connection``
 responses are outstanding the reader stops reading, the socket buffer
@@ -27,7 +28,8 @@ import asyncio
 import json
 import socket
 import time
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.serve.admission import (
@@ -73,8 +75,7 @@ class GatewayConfig:
         host: bind address.
         port: bind port (0 picks an ephemeral port, reported by ``start``).
         queue_bound: admission queue capacity.
-        policy: full-queue behaviour (``block`` or ``shed``).
-        workers: detector worker coroutines.
+        policy: full-queue behaviour (``block``, ``shed`` or ``cost``).
         max_inflight_per_connection: pipelining window per connection.
         drain_timeout: seconds to wait for queued work at shutdown.
         cost_fn: prices a payload for the ``cost`` admission policy
@@ -97,7 +98,6 @@ class GatewayConfig:
     port: int = 0
     queue_bound: int = 1024
     policy: BackpressurePolicy | str = BackpressurePolicy.BLOCK
-    workers: int = 4
     max_inflight_per_connection: int = 64
     drain_timeout: float = 10.0
     cost_fn: Callable[[str], float] | None = None
@@ -107,19 +107,85 @@ class GatewayConfig:
     surfaces: tuple[InjectionSurface, ...] = LEGACY_SURFACES
 
 
-@dataclass
+@dataclass(slots=True)
 class _Job:
     """One admitted inspection: work + the generation that answers it.
 
     ``work`` is the raw payload string (line protocol) or a
     :class:`~repro.surfaces.ScoreRequest` (framed full-request mode);
-    the worker loop branches on the type.
+    the drain task branches on the type and fills in ``response``.
     """
 
     work: str | ScoreRequest
     snapshot: StoreVersion
-    future: asyncio.Future
-    admitted_at: float
+    outbox: _Outbox
+    admitted_at: float = field(default_factory=time.perf_counter)
+    response: bytes | None = None
+
+
+class _Outbox:
+    """One connection's responses, in request order.
+
+    Entries are admitted :class:`_Job` s (answered once the drain task
+    sets their ``response``) and ready answers (``bytes``: protocol
+    errors).  The drain task wakes the writer after answering; the
+    writer then :meth:`take` s every answered entry at the head, so
+    jobs serviced in one batch leave in one write.  At ``limit``
+    entries the reader waits in :meth:`room` — the pipelining window.
+    """
+
+    __slots__ = ("_entries", "_limit", "_ready", "_room", "_closed")
+
+    def __init__(self, limit: int) -> None:
+        self._entries: deque[_Job | bytes] = deque()
+        self._limit = max(1, limit)
+        self._ready: asyncio.Future | None = None  # writer's wake-up
+        self._room: asyncio.Future | None = None  # reader's wake-up
+        self._closed = False
+
+    def push(self, entry: _Job | bytes) -> None:
+        """Append the next request's entry (call after :meth:`room`)."""
+        self._entries.append(entry)
+        if type(entry) is bytes:
+            self.wake()
+
+    def wake(self) -> None:
+        """Tell a waiting writer that an entry was answered."""
+        _release(self._ready)
+        self._ready = None
+
+    async def room(self) -> None:
+        """Wait until the window has a free slot (or the outbox closed)."""
+        while len(self._entries) >= self._limit and not self._closed:
+            self._room = asyncio.get_running_loop().create_future()
+            await self._room
+
+    async def take(self) -> list[bytes]:
+        """Every answered response at the head, in order; waits for at
+        least one.  Returns ``[]`` once closed with nothing left."""
+        entries = self._entries
+        while True:
+            taken = []
+            while entries:
+                head = entries[0]
+                data = head if type(head) is bytes else head.response
+                if data is None:
+                    break
+                entries.popleft()
+                taken.append(data)
+            if taken or (self._closed and not entries):
+                _release(self._room)
+                self._room = None
+                return taken
+            self._ready = asyncio.get_running_loop().create_future()
+            await self._ready
+
+    def close(self) -> None:
+        """No more entries will be taken or pushed: the reader finished
+        or the writer died.  Unblocks whichever side is waiting."""
+        self._closed = True
+        _release(self._ready)
+        _release(self._room)
 
 
 class DetectionGateway:
@@ -151,7 +217,13 @@ class DetectionGateway:
             cost_threshold=self.config.cost_threshold,
             high_water=self.config.high_water,
         )
-        self._cost_fn = self.config.cost_fn or _default_cost
+        # Only the cost policy reads a price; block and shed never pay
+        # for one.
+        self._cost_fn = (
+            self.config.cost_fn or _default_cost
+            if self.admission.policy is BackpressurePolicy.COST
+            else None
+        )
         # Live-state gauges: evaluated at scrape time, so /metrics shows
         # the instantaneous queue depth and deployed signature generation
         # without the data plane pushing updates anywhere.
@@ -167,7 +239,7 @@ class DetectionGateway:
             function=lambda: float(self.store.version),
         )
         self._server: asyncio.base_events.Server | None = None
-        self._workers: list[asyncio.Task] = []
+        self._drainer: asyncio.Task | None = None
         self._connections: set[asyncio.StreamWriter] = set()
         self._stopped = asyncio.Event()
 
@@ -176,7 +248,7 @@ class DetectionGateway:
     async def start(
         self, *, sock: socket.socket | None = None
     ) -> tuple[str, int]:
-        """Bind, spawn workers, and return the bound ``(host, port)``.
+        """Bind, start the drain task, and return the bound ``(host, port)``.
 
         Args:
             sock: an already-bound listening socket to serve on instead
@@ -186,11 +258,9 @@ class DetectionGateway:
         """
         if self._server is not None:
             raise RuntimeError("gateway already started")
-        loop = asyncio.get_running_loop()
-        self._workers = [
-            loop.create_task(self._worker_loop())
-            for _ in range(max(1, self.config.workers))
-        ]
+        self._drainer = asyncio.get_running_loop().create_task(
+            self._drain_loop()
+        )
         # Stream limit above MAX_LINE_BYTES so our own oversized-line
         # handling (answer an error, keep the connection) gets to run
         # before asyncio's reader gives up.
@@ -213,9 +283,9 @@ class DetectionGateway:
             self._server.close()
             await self._server.wait_closed()
         await self.admission.drain(self.config.drain_timeout)
-        for task in self._workers:
-            task.cancel()
-        await asyncio.gather(*self._workers, return_exceptions=True)
+        if self._drainer is not None:
+            self._drainer.cancel()
+            await asyncio.gather(self._drainer, return_exceptions=True)
         for writer in list(self._connections):
             writer.close()
         self._stopped.set()
@@ -227,8 +297,7 @@ class DetectionGateway:
         print(
             f"repro.serve: detector={detector} on {host}:{port} "
             f"(queue={self.config.queue_bound}, "
-            f"policy={BackpressurePolicy(self.config.policy).value}, "
-            f"workers={self.config.workers})"
+            f"policy={BackpressurePolicy(self.config.policy).value})"
         )
         try:
             await self._stopped.wait()
@@ -239,33 +308,41 @@ class DetectionGateway:
     # -- data plane ----------------------------------------------------
 
     async def _admit(
-        self, work: str | ScoreRequest, *, cost: float | None = None
-    ) -> asyncio.Future:
-        """Admit one unit of work; the returned future resolves to the
-        response bytes (detection, shed notice, or error)."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        job = _Job(
-            work=work,
-            snapshot=self.store.current(),
-            future=future,
-            admitted_at=time.perf_counter(),
-        )
-        if cost is None:
+        self,
+        outbox: _Outbox,
+        work: str | ScoreRequest,
+        *,
+        cost: float | None = None,
+    ) -> None:
+        """Admit one unit of work and append its entry to ``outbox``;
+        the entry is answered with the response bytes (detection, shed
+        notice, or error)."""
+        job = _Job(work, self.store.current(), outbox)
+        outbox.push(job)
+        if cost is None and self._cost_fn is not None:
             cost = self._cost_fn(work if isinstance(work, str) else "")
         try:
             await self.admission.submit(job, cost=cost)
         except Shed as exc:
-            future.set_result(encode_shed(str(exc)))
+            job.response = encode_shed(str(exc))
+            outbox.wake()
         except QueueClosed as exc:
-            future.set_result(encode_error(str(exc)))
-        return future
+            job.response = encode_error(str(exc))
+            outbox.wake()
+
+    async def _answer(self, work: str | ScoreRequest, **kwargs) -> dict:
+        """Full admission path for one in-process request; the decoded
+        response object."""
+        outbox = _Outbox(1)
+        await self._admit(outbox, work, **kwargs)
+        outbox.close()
+        (data,) = await outbox.take()
+        return json.loads(data)
 
     async def inspect(self, payload: str) -> dict:
         """In-process client: run ``payload`` through the full admission
         path and return the decoded response object."""
-        future = await self._admit(payload)
-        return json.loads(await future)
+        return await self._answer(payload)
 
     async def inspect_request(
         self,
@@ -276,51 +353,49 @@ class DetectionGateway:
         surface-attributed response."""
         frame = encode_framed_request(request, surfaces)
         body_len = len(frame) - frame.index(b"\n") - 2
-        future = await self._admit(
+        return await self._answer(
             ScoreRequest(request=request, surfaces=surfaces),
             cost=float(body_len),
         )
-        return json.loads(await future)
 
-    async def _worker_loop(self) -> None:
+    async def _drain_loop(self) -> None:
+        """Service every queued job per wake-up, without awaiting.
+
+        Nothing else runs until the batch is done, so each job still
+        answers from its admission-time snapshot and the queue bound
+        still counts admitted-but-unserviced work.  A writer woken by
+        several of the batch's jobs runs once, after it.
+        """
         while True:
-            job = await self.admission.get()
-            started = time.perf_counter()
-            try:
-                if isinstance(job.work, ScoreRequest):
-                    detection = score_request(
-                        job.snapshot.detector.inspect,
-                        job.work.request,
-                        job.work.surfaces,
-                    )
-                else:
-                    detection = job.snapshot.detector.inspect(job.work)
-            except Exception as exc:  # detector bug: answer, don't die
-                self.telemetry.increment("errors")
-                if not job.future.done():
-                    job.future.set_result(
-                        encode_error(f"detector error: {exc}")
-                    )
-            else:
-                finished = time.perf_counter()
-                self.telemetry.record_inspection(
-                    detection.alert, finished - started
-                )
-                self.telemetry.observe(
-                    "latency", finished - job.admitted_at
-                )
-                if not job.future.done():
-                    if isinstance(job.work, ScoreRequest):
-                        self.telemetry.record_surfaces(detection)
-                        job.future.set_result(encode_surface_detection(
-                            detection, job.snapshot.version
-                        ))
-                    else:
-                        job.future.set_result(encode_detection(
-                            detection, job.snapshot.version
-                        ))
-            finally:
-                self.admission.task_done()
+            batch = await self.admission.get_batch()
+            for job in batch:
+                try:
+                    job.response = self._service(job)
+                except Exception as exc:  # detector bug: answer, don't die
+                    self.telemetry.increment("errors")
+                    job.response = encode_error(f"detector error: {exc}")
+                job.outbox.wake()
+            self.admission.task_done(len(batch))
+
+    def _service(self, job: _Job) -> bytes:
+        """Inspect one job with its admission-time snapshot and encode
+        the response."""
+        work, snapshot = job.work, job.snapshot
+        started = time.perf_counter()
+        if isinstance(work, str):
+            detection = snapshot.detector.inspect(work)
+        else:
+            detection = score_request(
+                snapshot.detector.inspect, work.request, work.surfaces
+            )
+        finished = time.perf_counter()
+        self.telemetry.record_inspection(
+            detection.alert, finished - started, finished - job.admitted_at
+        )
+        if isinstance(work, str):
+            return encode_detection(detection, snapshot.version)
+        self.telemetry.record_surfaces(detection)
+        return encode_surface_detection(detection, snapshot.version)
 
     # -- connection handling -------------------------------------------
 
@@ -360,15 +435,14 @@ class DetectionGateway:
         first: bytes,
     ) -> None:
         """The line protocol: one payload per line, responses in order."""
-        pending: asyncio.Queue = asyncio.Queue(
-            maxsize=max(1, self.config.max_inflight_per_connection)
-        )
+        outbox = _Outbox(self.config.max_inflight_per_connection)
         flusher = asyncio.get_running_loop().create_task(
-            self._flush_responses(pending, writer)
+            self._flush_responses(outbox, writer)
         )
         line = first
         try:
             while line:
+                await outbox.room()
                 frame_size = None
                 bad_header = None
                 try:
@@ -380,12 +454,12 @@ class DetectionGateway:
                     bad_header = exc
                 if bad_header is not None:
                     self.telemetry.increment("protocol_errors")
-                    await pending.put(_done(encode_error(str(bad_header))))
+                    outbox.push(encode_error(str(bad_header)))
                 elif frame_size is not None:
-                    await self._serve_frame(reader, pending, frame_size)
+                    await self._serve_frame(reader, outbox, frame_size)
                 elif len(line) > MAX_LINE_BYTES:
                     self.telemetry.increment("protocol_errors")
-                    await pending.put(_done(encode_error("line too long")))
+                    outbox.push(encode_error("line too long"))
                 else:
                     # Every line is one payload — including the empty
                     # line: a request with no query string is still a
@@ -394,23 +468,24 @@ class DetectionGateway:
                     payload = line.rstrip(b"\r\n").decode(
                         "utf-8", errors="replace"
                     )
-                    await pending.put(await self._admit(payload))
+                    await self._admit(outbox, payload)
                 try:
                     line = await reader.readline()
                 except ValueError:
                     # asyncio discarded an oversized line; answer the
                     # error in order and keep reading.
                     self.telemetry.increment("protocol_errors")
-                    await pending.put(_done(encode_error("line too long")))
+                    await outbox.room()
+                    outbox.push(encode_error("line too long"))
                     line = b"\n"
         finally:
-            await pending.put(None)
+            outbox.close()
             await flusher
 
     async def _serve_frame(
         self,
         reader: asyncio.StreamReader,
-        pending: asyncio.Queue,
+        outbox: _Outbox,
         frame_size: int,
     ) -> None:
         """Read and admit one framed full-request message.
@@ -425,9 +500,7 @@ class DetectionGateway:
         trailer = await reader.readline()
         if trailer not in (b"\n", b"\r\n", b""):
             self.telemetry.increment("protocol_errors")
-            await pending.put(_done(encode_error(
-                "frame body not newline-terminated"
-            )))
+            outbox.push(encode_error("frame body not newline-terminated"))
             return
         try:
             request, surfaces = decode_framed_request(
@@ -435,28 +508,31 @@ class DetectionGateway:
             )
         except ProtocolError as exc:
             self.telemetry.increment("protocol_errors")
-            await pending.put(_done(encode_error(str(exc))))
+            outbox.push(encode_error(str(exc)))
             return
         self.telemetry.increment("framed")
-        await pending.put(await self._admit(
+        await self._admit(
+            outbox,
             ScoreRequest(request=request, surfaces=surfaces),
             cost=float(frame_size),
-        ))
+        )
 
     @staticmethod
     async def _flush_responses(
-        pending: asyncio.Queue, writer: asyncio.StreamWriter
+        outbox: _Outbox, writer: asyncio.StreamWriter
     ) -> None:
-        while True:
-            future = await pending.get()
-            if future is None:
-                return
-            data = await future
-            try:
-                writer.write(data)
+        """Send each run of answered responses with one write."""
+        try:
+            while True:
+                taken = await outbox.take()
+                if not taken:
+                    return
+                writer.write(b"".join(taken))
                 await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                return
+        except (ConnectionResetError, BrokenPipeError):
+            return
+        finally:
+            outbox.close()
 
     # -- control plane -------------------------------------------------
 
@@ -546,8 +622,7 @@ def _default_cost(payload: str) -> float:
     return float(len(payload.encode("utf-8", errors="replace")))
 
 
-def _done(data: bytes) -> asyncio.Future:
-    """A future already resolved to ``data``."""
-    future = asyncio.get_running_loop().create_future()
-    future.set_result(data)
-    return future
+def _release(waiter: asyncio.Future | None) -> None:
+    """Resume the coroutine parked on ``waiter``, if any."""
+    if waiter is not None and not waiter.done():
+        waiter.set_result(None)

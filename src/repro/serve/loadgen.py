@@ -256,7 +256,6 @@ async def run_loadgen(
     *,
     queue_bound: int = 1024,
     policy: str = "block",
-    workers: int = 4,
     connections: int = 8,
     window: int = 32,
     check_parity: bool = True,
@@ -270,7 +269,6 @@ async def run_loadgen(
     gateway = DetectionGateway(store, GatewayConfig(
         queue_bound=queue_bound,
         policy=policy,
-        workers=workers,
     ))
     host, port = await gateway.start()
     try:
@@ -321,7 +319,6 @@ async def run_framed_loadgen(
     surfaces: tuple[InjectionSurface, ...] = LEGACY_SURFACES,
     queue_bound: int = 1024,
     policy: str = "block",
-    workers: int = 4,
     connections: int = 8,
     window: int = 32,
     check_parity: bool = True,
@@ -336,7 +333,6 @@ async def run_framed_loadgen(
     gateway = DetectionGateway(store, GatewayConfig(
         queue_bound=queue_bound,
         policy=policy,
-        workers=workers,
     ))
     host, port = await gateway.start()
     try:
@@ -402,6 +398,12 @@ async def open_loop_replay(
     behaves and the only way to observe shedding and queueing delay at
     offered loads above capacity.
 
+    Each latency is timed from the request's *due* time
+    (``t0 + i/rate``), not from when it was actually sent: a stall in
+    the generator or the socket delays every request due during it, and
+    those delays belong in the percentiles (timing from the send would
+    hide them — coordinated omission).
+
     Response lines are stored raw and decoded after the run so client
     CPU spent on JSON never distorts the offered schedule.
 
@@ -422,27 +424,25 @@ async def open_loop_replay(
     async def _drive(lane: list[int]) -> None:
         nonlocal finished_at
         reader, writer = await asyncio.open_connection(host, port)
-        sent_at = np.zeros(len(lane), dtype=np.float64)
 
         async def collect() -> None:
             nonlocal finished_at
-            for position, index in enumerate(lane):
+            for index in lane:
                 line = await reader.readline()
                 if not line:
                     return
                 now = time.perf_counter()
-                latencies[index] = now - sent_at[position]
+                latencies[index] = now - (started + index / rate)
                 raw[index] = line
                 if now > finished_at:
                     finished_at = now
 
         collector = asyncio.get_running_loop().create_task(collect())
         try:
-            for position, index in enumerate(lane):
+            for index in lane:
                 delay = started + index / rate - time.perf_counter()
                 if delay > 0:
                     await asyncio.sleep(delay)
-                sent_at[position] = time.perf_counter()
                 writer.write(
                     payloads[index].encode("utf-8", errors="replace")
                     + b"\n"
@@ -551,7 +551,6 @@ async def run_fleet_loadgen(
     shards: int = 2,
     queue_bound: int = 1024,
     policy: str = "block",
-    workers: int = 4,
     connections: int = 8,
     window: int = 32,
     rate: float | None = None,
@@ -571,7 +570,6 @@ async def run_fleet_loadgen(
         shards=shards,
         queue_bound=queue_bound,
         policy=policy,
-        workers=workers,
     ))
     host, port = await supervisor.start()
     try:

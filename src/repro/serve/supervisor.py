@@ -89,7 +89,6 @@ class FleetConfig:
         control_port: control-plane HTTP port (0 picks one).
         queue_bound: per-shard admission queue capacity.
         policy: per-shard backpressure policy.
-        workers: detector coroutines per shard.
         max_inflight_per_connection: pipelining window per connection.
         drain_timeout: per-shard drain deadline at shutdown (seconds).
         cost_threshold: ``cost`` policy shed threshold.
@@ -109,7 +108,6 @@ class FleetConfig:
     control_port: int = 0
     queue_bound: int = 1024
     policy: str = "block"
-    workers: int = 4
     max_inflight_per_connection: int = 64
     drain_timeout: float = 10.0
     cost_threshold: float = 256.0
@@ -299,7 +297,6 @@ class FleetSupervisor:
             listen_socket=self._shared_listener,
             queue_bound=self.config.queue_bound,
             policy=self.config.policy,
-            workers=self.config.workers,
             max_inflight_per_connection=(
                 self.config.max_inflight_per_connection
             ),

@@ -72,7 +72,8 @@ class Telemetry:
     - ``connections``: TCP/HTTP connections accepted.
     - ``protocol_errors``: undecodable input lines.
 
-    Histograms are created on first use; the gateway records ``service``
+    Histograms are created on first use, except the two the gateway
+    records per request, which are resolved once up front: ``service``
     (detector time alone) and ``latency`` (queue wait + service).
 
     Args:
@@ -92,6 +93,7 @@ class Telemetry:
         self._inspected = self._counter("inspected")
         self._alerted = self._counter("alerted")
         self._service = self._histogram("service")
+        self._latency = self._histogram("latency")
 
     def _counter(self, name: str) -> Counter:
         """Registry counter for short name ``name`` (cached)."""
@@ -125,12 +127,18 @@ class Telemetry:
         """Record a latency sample into histogram ``name``."""
         self._histogram(name).observe(seconds)
 
-    def record_inspection(self, alerted: bool, seconds: float) -> None:
-        """One-call hot-path helper: counters + the ``service`` histogram."""
+    def record_inspection(
+        self, alerted: bool, seconds: float, latency: float | None = None
+    ) -> None:
+        """One-call hot-path helper: counters, the ``service`` histogram
+        and, when given, the ``latency`` histogram (queue wait +
+        service)."""
         self._inspected.inc()
         if alerted:
             self._alerted.inc()
         self._service.observe(seconds)
+        if latency is not None:
+            self._latency.observe(latency)
 
     def record_surfaces(self, detection) -> None:
         """Per-surface counters for one surface-aware verdict.

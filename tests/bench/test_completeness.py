@@ -69,7 +69,7 @@ def test_floors_reference_recorded_metrics():
                 f"FLOORS[{slug!r}] guards metric {metric!r} which the "
                 f"committed artifact does not record"
             )
-            assert op in (">=", "<=", "=="), (slug, metric, op)
+            assert op in (">=", ">", "<=", "=="), (slug, metric, op)
 
 
 def test_every_bench_module_emits_an_artifact():

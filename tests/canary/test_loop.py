@@ -207,7 +207,7 @@ class TestFleetRound:
         async def scenario():
             supervisor = FleetSupervisor(
                 PSigeneDetector(small_signatures),
-                FleetConfig(shards=2, queue_bound=512, workers=2),
+                FleetConfig(shards=2, queue_bound=512),
                 source="canary:test",
             )
             loop = make_loop(

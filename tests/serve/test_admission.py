@@ -48,10 +48,10 @@ class TestPolicies:
             waiter = asyncio.ensure_future(controller.submit("b"))
             await asyncio.sleep(0)
             assert not waiter.done()  # blocked on the full queue
-            item = await controller.get()
-            controller.task_done()
+            batch = await controller.get_batch()
+            controller.task_done(len(batch))
             await waiter  # space opened, second submit admitted
-            assert item == "a"
+            assert batch == ["a"]
             assert controller.depth == 1
 
         run(scenario())
@@ -74,10 +74,10 @@ class TestDrain:
             serviced = []
 
             async def worker():
-                item = await controller.get()
+                batch = await controller.get_batch()
                 await asyncio.sleep(0.01)
-                serviced.append(item)
-                controller.task_done()
+                serviced.extend(batch)
+                controller.task_done(len(batch))
 
             task = asyncio.ensure_future(worker())
             assert await controller.drain(timeout=1.0)

@@ -4,7 +4,9 @@ The acceptance bar: for a fixed trace, alerts/scores through the
 gateway are identical to ``SignatureEngine.run`` offline — including
 across a mid-stream hot signature reload, where requests admitted
 before the swap are answered by the old generation and requests after
-it by the new one.
+it by the new one.  The batched data plane (one drain task, one write
+per run of answered responses) must keep every answer byte-identical
+and in request order, and must still stop reading at a full window.
 """
 
 import asyncio
@@ -28,6 +30,18 @@ from repro.serve import (
     build_load_trace,
     run_loadgen,
 )
+from repro.serve.gateway import _Outbox
+from repro.serve.protocol import (
+    FRAME_MAGIC,
+    MAX_LINE_BYTES,
+    ProtocolError,
+    encode_detection,
+    encode_error,
+    encode_framed_request,
+    encode_surface_detection,
+    frame_header_size,
+)
+from repro.surfaces import DEFAULT_SURFACES, score_request
 
 
 def toy_detector(name="toy"):
@@ -49,6 +63,48 @@ async def send_lines(host, port, payloads):
         writer.close()
         await writer.wait_closed()
     return responses
+
+
+async def collect(outbox, count):
+    """The first ``count`` responses an outbox hands its writer."""
+    responses = []
+    while len(responses) < count:
+        taken = await outbox.take()
+        assert taken, "outbox closed before every response was answered"
+        responses.extend(taken)
+    return responses
+
+
+class CountingWriter:
+    """Stream-writer proxy counting transport writes."""
+
+    def __init__(self, inner, counts):
+        self._inner = inner
+        self._counts = counts
+
+    def write(self, data):
+        self._counts.append(len(data))
+        self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def count_writes(gateway):
+    """Wrap every data-plane writer of ``gateway`` (call before start);
+    returns the list that collects one entry per write."""
+    counts = []
+    handle = gateway._handle_connection
+
+    async def counted(reader, writer):
+        await handle(reader, CountingWriter(writer, counts))
+
+    gateway._handle_connection = counted
+    return counts
+
+
+async def read_lines(reader, count):
+    return [await reader.readline() for _ in range(count)]
 
 
 async def http(host, port, method, path, body=""):
@@ -124,11 +180,11 @@ class TestLineProtocol:
         async def scenario():
             gateway = DetectionGateway(
                 SignatureStore(toy_detector()),
-                GatewayConfig(queue_bound=1, policy="shed", workers=1),
+                GatewayConfig(queue_bound=1, policy="shed"),
             )
             host, port = await gateway.start()
             # A burst bigger than the queue from many connections; with
-            # one worker at least one request must be refused.
+            # one drain task at least one request must be refused.
             results = await asyncio.gather(*(
                 send_lines(host, port, [f"id={i}' union select 1"] * 8)
                 for i in range(8)
@@ -217,22 +273,21 @@ class TestHotReload:
 
         async def scenario():
             store = SignatureStore(toy_detector())
-            gateway = DetectionGateway(
-                store, GatewayConfig(workers=1)
-            )
+            gateway = DetectionGateway(store)
             await gateway.start()
-            # Admit without yielding to the worker in between: the swap
-            # lands while request 1 is still queued (in flight).
-            future_old = await gateway._admit("id=1' union select 1")
+            outbox = _Outbox(8)
+            # Admit without yielding to the drain task in between: the
+            # swap lands while request 1 is still queued (in flight).
+            await gateway._admit(outbox, "id=1' union select 1")
+            assert gateway.admission.depth == 1
             store.swap_detector(
                 DeterministicRuleSet(
                     "toy2", [Rule(9, "any", r".")]
                 ),
                 source="test",
             )
-            future_new = await gateway._admit("id=1' union select 1")
-            old = json.loads(await future_old)
-            new = json.loads(await future_new)
+            await gateway._admit(outbox, "id=1' union select 1")
+            old, new = map(json.loads, await collect(outbox, 2))
             await gateway.stop()
             return old, new
 
@@ -256,7 +311,7 @@ class TestHotReload:
 
         async def scenario():
             store = SignatureStore(PSigeneDetector(full))
-            gateway = DetectionGateway(store, GatewayConfig(workers=2))
+            gateway = DetectionGateway(store)
             host, port = await gateway.start()
             first = await send_lines(host, port, payloads[:half])
             status, body = await http(
@@ -296,7 +351,6 @@ class TestLoadgenParity:
             payloads,
             queue_bound=64,
             policy="block",
-            workers=2,
             connections=4,
             window=8,
         ))
@@ -316,16 +370,120 @@ class TestDrainOnShutdown:
         async def scenario():
             gateway = DetectionGateway(
                 SignatureStore(toy_detector()),
-                GatewayConfig(workers=1, queue_bound=64),
+                GatewayConfig(queue_bound=64),
             )
             host, port = await gateway.start()
-            futures = [
-                await gateway._admit(f"id={i}' union select 1")
-                for i in range(20)
-            ]
+            outbox = _Outbox(64)
+            for i in range(20):
+                await gateway._admit(outbox, f"id={i}' union select 1")
             await gateway.stop()
-            return [json.loads(await future) for future in futures]
+            outbox.close()
+            return [json.loads(data) for data in await collect(outbox, 20)]
 
         responses = asyncio.run(scenario())
         assert len(responses) == 20
         assert all(r["alert"] for r in responses)
+
+
+class TestBatchedDataPlane:
+    def test_pipelined_mix_in_order_with_fewer_writes(self, small_signatures):
+        """64 pipelined lines interleaved with a frame, an oversized line
+        and a malformed frame header: every answer is byte-identical to
+        the offline encoding, in request order, and the gateway sends
+        them in fewer transport writes than there are responses."""
+        detector = PSigeneDetector(small_signatures)
+        payloads = build_load_trace(
+            seed=5, n_benign=80, n_vulnerabilities=2
+        ).payloads()[:64]
+        request = HttpRequest(
+            query="view=1", headers={"cookie": "s=x' or 1=1--"}
+        )
+        frame = encode_framed_request(request, DEFAULT_SURFACES)
+        oversized = b"x" * (MAX_LINE_BYTES + 1) + b"\n"
+        bad_header = FRAME_MAGIC + b" banana\n"
+        with pytest.raises(ProtocolError) as bad_header_error:
+            frame_header_size(bad_header)
+
+        wire, expected = [], []
+        for index, payload in enumerate(payloads):
+            wire.append(payload.encode() + b"\n")
+            expected.append(encode_detection(detector.inspect(payload), 1))
+            if index == 10:
+                wire.append(frame)
+                expected.append(encode_surface_detection(
+                    score_request(detector.inspect, request, DEFAULT_SURFACES),
+                    1,
+                ))
+            elif index == 30:
+                wire.append(oversized)
+                expected.append(encode_error("line too long"))
+            elif index == 50:
+                wire.append(bad_header)
+                expected.append(encode_error(str(bad_header_error.value)))
+
+        async def scenario():
+            gateway = DetectionGateway(SignatureStore(detector))
+            writes = count_writes(gateway)
+            host, port = await gateway.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"".join(wire))
+            await writer.drain()
+            answers = await asyncio.wait_for(
+                read_lines(reader, len(expected)), 30
+            )
+            writer.close()
+            await writer.wait_closed()
+            await gateway.stop()
+            return answers, writes
+
+        answers, writes = asyncio.run(scenario())
+        assert answers == expected
+        assert 0 < len(writes) < len(expected)
+        assert sum(writes) == sum(len(answer) for answer in answers)
+
+    def test_full_window_stops_reading(self):
+        """With the drain task held, a connection admits exactly its
+        window and reads no further; released, every request is
+        answered in order."""
+        window = 4
+
+        async def scenario():
+            gateway = DetectionGateway(
+                SignatureStore(toy_detector()),
+                GatewayConfig(max_inflight_per_connection=window),
+            )
+            release = asyncio.Event()
+            get_batch = gateway.admission.get_batch
+
+            async def held_get_batch():
+                await release.wait()
+                return await get_batch()
+
+            gateway.admission.get_batch = held_get_batch
+            host, port = await gateway.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            # Even lines attack, odd lines are benign: the alert
+            # pattern pins the response order.
+            writer.write(b"".join(
+                (f"id={i}' union select {i}\n" if i % 2 == 0
+                 else f"q={i}\n").encode()
+                for i in range(20)
+            ))
+            await writer.drain()
+            await asyncio.sleep(0.2)
+            held_depth = gateway.admission.depth
+            held_connections = gateway.telemetry.counter("connections")
+            release.set()
+            answers = await asyncio.wait_for(read_lines(reader, 20), 30)
+            writer.close()
+            await writer.wait_closed()
+            await gateway.stop()
+            return held_depth, held_connections, answers
+
+        held_depth, connections, answers = asyncio.run(scenario())
+        assert connections == 1
+        assert held_depth == window
+        responses = [json.loads(answer) for answer in answers]
+        assert [r["alert"] for r in responses] == [
+            i % 2 == 0 for i in range(20)
+        ]

@@ -156,7 +156,7 @@ class TestReloadMissingFile:
 
         async def scenario():
             store = SignatureStore(toy_detector(), path=str(missing))
-            gateway = DetectionGateway(store, GatewayConfig(workers=1))
+            gateway = DetectionGateway(store, GatewayConfig())
             host, port = await gateway.start()
             before = await send_lines(host, port, ["id=1' union select 1"])
             # Empty body => path-based reload; the file does not exist.
