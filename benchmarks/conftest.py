@@ -51,16 +51,21 @@ if not _HAVE_BENCHMARK_PLUGIN:
         return _FallbackBenchmark()
 
 
+#: The shared context's configuration; ``scripts/ci_bench_guard.py``
+#: rebuilds it to re-measure a bench like for like.
+BENCH_CONTEXT_CONFIG = {
+    "seed": 2012,
+    "n_attack_samples": 3000,
+    "n_benign_train": 8000,
+    "n_benign_test": 20_000,
+    "max_cluster_rows": 1500,
+    "n_vulnerabilities": 136,
+}
+
+
 @pytest.fixture(scope="session")
 def bench_context():
-    return EvaluationContext.build(
-        seed=2012,
-        n_attack_samples=3000,
-        n_benign_train=8000,
-        n_benign_test=20_000,
-        max_cluster_rows=1500,
-        n_vulnerabilities=136,
-    )
+    return EvaluationContext.build(**BENCH_CONTEXT_CONFIG)
 
 
 @pytest.fixture(scope="session")

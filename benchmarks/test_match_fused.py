@@ -20,16 +20,24 @@ from repro.eval import format_table
 from repro.match import bench_fused_matching
 
 
-def test_bench_fused_matching(benchmark, bench_context, record, emit):
-    nine, _ = bench_context.psigene_sets()
-    requests = list(bench_context.datasets.sqlmap.requests[:600])
-    requests += list(bench_context.datasets.benign.requests[:600])
+def measure_matching(context):
+    """The measured configuration, shared with the CI guard's re-run:
+    the nine-signature set over 600 sqlmap then 600 benign requests.
+
+    Returns ``(result, corpus)``; *corpus* fingerprints the payloads.
+    """
+    nine, _ = context.psigene_sets()
+    requests = list(context.datasets.sqlmap.requests[:600])
+    requests += list(context.datasets.benign.requests[:600])
     payloads = [request.flat_payload() for request in requests]
+    result = bench_fused_matching(nine, payloads, repeats=15)
+    return result, {"payloads": corpus_digest(payloads)}
 
-    def sweep():
-        return bench_fused_matching(nine, payloads, repeats=5)
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_bench_fused_matching(benchmark, bench_context, record, emit):
+    result, corpus = benchmark.pedantic(
+        measure_matching, args=(bench_context,), rounds=1, iterations=1
+    )
     table = format_table(
         ["ENGINE", "µs/req", "P50 µs", "P95 µs", "SPEEDUP", "IDENTICAL"],
         [
@@ -47,9 +55,7 @@ def test_bench_fused_matching(benchmark, bench_context, record, emit):
         ),
     )
     record("bench_matching", table)
-    emit(result.to_bench_result(
-        seed=2012, corpus={"payloads": corpus_digest(payloads)}
-    ))
+    emit(result.to_bench_result(seed=2012, corpus=corpus))
 
     # Bit-exact parity on every payload is non-negotiable.
     assert result.identical

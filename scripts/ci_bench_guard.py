@@ -19,10 +19,10 @@ entry with no artifact fails (missing trajectory point).
 the committed numbers:
 
 ``BENCH_matching.json`` — the fused single-pass matcher is re-measured
-fresh (canonical small detector, seeded fuzz corpus); verdicts must stay
-bit-identical to the legacy path and the fresh speedup must hold 85% of
-the committed baseline speedup (a ratio of ratios — insensitive to the
-runner's absolute speed).
+in the bench's own configuration (its context and payloads, checked by
+corpus digest); verdicts must stay bit-identical to the legacy path and
+the fresh speedup must hold 85% of the committed baseline speedup (a
+ratio of ratios — insensitive to the runner's absolute speed).
 
 ``BENCH_serving.json`` — a live 2-shard fleet probe must serve with
 bit-exact parity and retain at least half of single-shard capacity.
@@ -87,7 +87,8 @@ FLOORS: dict[str, tuple[tuple[str, str, object], ...]] = {
     "surfaces": (
         ("scanner_detected_legacy", "==", 0),
         ("scanner_rate_full", ">=", 0.6),
-        ("evasion_survival_rate", "<=", 1.0),
+        # Recorded 5/19 = 0.2632; 8 of 19 evasions surviving fails.
+        ("evasion_survival_rate", "<=", 0.4),
     ),
     "exp2_incremental": (
         ("tpr_gain_40", ">=", 0.0),
@@ -179,7 +180,8 @@ FLOORS: dict[str, tuple[tuple[str, str, object], ...]] = {
     ),
     "figure3_roc": (
         ("best_partial_auc", ">=", 0.02),
-        ("auc_spread", ">=", 0.0),
+        # Recorded 0.0144: signatures collapsing to one quality fails.
+        ("auc_spread", ">=", 0.01),
     ),
     "figure4_cumulative_tpr": (
         ("top_marginal", ">=", 0.1),
@@ -293,17 +295,37 @@ def sweep_artifacts() -> str:
     )
 
 
-def fresh_measurement() -> dict:
-    """Benchmark the canonical small detector on the seeded fuzz corpus."""
-    from repro.conformance import generate_corpus, train_default_detector
-    from repro.match import bench_fused_matching
+def _bench_module(filename: str):
+    """A file under ``benchmarks/``, loaded as a module.
 
-    detector = train_default_detector(2012)
-    payloads = generate_corpus(seed=2012, budget="small")
-    result = bench_fused_matching(
-        detector.signature_set, payloads, repeats=5
+    The guard reuses the benches' own measured configurations so there
+    is exactly one definition of each — a drifting copy here would make
+    "compared with the artifact" vacuous.
+    """
+    path = os.path.join("benchmarks", filename)
+    spec = importlib.util.spec_from_file_location(
+        f"_bench_{filename[:-3]}", path
     )
-    return json.loads(result.to_json())
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fresh_measurement() -> dict:
+    """Re-run the matching bench on its own context and payloads.
+
+    The speedup depends on the payload mix (the fused path's Θ memo
+    pays off with repeated count vectors), so only the committed
+    configuration gives a comparable ratio.
+    """
+    from repro.eval import EvaluationContext
+
+    config = _bench_module("conftest.py").BENCH_CONTEXT_CONFIG
+    context = EvaluationContext.build(**config)
+    result, corpus = _bench_module("test_match_fused.py").measure_matching(
+        context
+    )
+    return json.loads(result.to_bench_result(corpus=corpus).to_json())
 
 
 def check(baseline: dict | None, fresh: dict) -> str:
@@ -321,6 +343,11 @@ def check(baseline: dict | None, fresh: dict) -> str:
         return (
             f"bench guard OK (no committed {BASELINE_PATH} baseline): "
             f"fresh speedup {speedup:.2f}x, verdicts identical"
+        )
+    if fresh["corpus"] != baseline["corpus"]:
+        raise AssertionError(
+            f"fresh matching corpus {fresh['corpus']} differs from the "
+            f"committed {baseline['corpus']}; speedups are not comparable"
         )
     baseline_speedup = float(baseline["metrics"]["speedup"])
     floor = ALLOWED_FRACTION * baseline_speedup
@@ -530,33 +557,17 @@ def check_canary(baseline: dict | None) -> str:
     )
 
 
-def _bench_surfaces_module():
-    """The surfaces bench module, loaded from its file.
-
-    The guard reuses the bench's own ``measure_surfaces`` and floors so
-    there is exactly one definition of the measured configuration — a
-    drifting copy here would make "identical to the artifact" vacuous.
-    """
-    path = os.path.join("benchmarks", "test_ext_surfaces.py")
-    spec = importlib.util.spec_from_file_location(
-        "_bench_ext_surfaces", path
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def surfaces_measurement() -> dict:
     """Recompute the surface ledger in the bench's exact configuration."""
     from repro.conformance import train_default_detector
 
-    bench = _bench_surfaces_module()
+    bench = _bench_module("test_ext_surfaces.py")
     return bench.measure_surfaces(train_default_detector(bench.SEED))
 
 
 def check_surfaces(baseline: dict | None, fresh: dict) -> str:
     """Surfaces guard verdict; raises AssertionError on any drift."""
-    bench = _bench_surfaces_module()
+    bench = _bench_module("test_ext_surfaces.py")
     for family, floor in bench.TPR_FLOORS.items():
         stats = fresh["families"][family]
         if stats["tpr"] < floor:

@@ -13,7 +13,7 @@ encoding) is fully under our control and testable.
 
 from __future__ import annotations
 
-_HEX_DIGITS = "0123456789abcdefABCDEF"
+import re
 
 #: Characters that never need escaping in a query component (RFC 3986
 #: unreserved set).  Everything else is percent-encoded by :func:`quote`.
@@ -21,9 +21,23 @@ _UNRESERVED = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~"
 )
 
+# Only ASCII hex digits form an escape: the classes are spelled out, not
+# ``\d``/IGNORECASE, so ``%٣٣`` (Arabic-Indic digits) stays verbatim.
+_ESCAPE = re.compile(r"%[0-9a-fA-F]{2}")
+_ESCAPE_OR_PLUS = re.compile(r"%[0-9a-fA-F]{2}|\+")
 
-def _is_hex(ch: str) -> bool:
-    return len(ch) == 1 and ch in _HEX_DIGITS
+_HEX = "0123456789abcdefABCDEF"
+
+#: Escape text (any letter case) → decoded character; ``"+"`` → space is
+#: only reachable through ``_ESCAPE_OR_PLUS``.
+_DECODED: dict[str, str] = {
+    f"%{hi}{lo}": chr(int(hi + lo, 16)) for hi in _HEX for lo in _HEX
+}
+_DECODED["+"] = " "
+
+
+def _decode_match(match: re.Match[str]) -> str:
+    return _DECODED[match.group()]
 
 
 def unquote(text: str, *, plus_as_space: bool = False) -> str:
@@ -31,30 +45,18 @@ def unquote(text: str, *, plus_as_space: bool = False) -> str:
 
     Malformed escapes (``%`` not followed by two hex digits) are passed
     through verbatim, mirroring how IDSes must treat attacker-controlled
-    input: decoding never fails.
+    input: decoding never fails.  Decoding is one left-to-right pass, so
+    a decoded ``%`` never starts a new escape (``%2541`` → ``%41``).
 
     Args:
         text: the raw (possibly escaped) string.
         plus_as_space: when true, ``+`` decodes to a space, as in
             ``application/x-www-form-urlencoded`` payloads.
     """
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "%" and i + 2 <= n - 1:
-            hi, lo = text[i + 1], text[i + 2]
-            if _is_hex(hi) and _is_hex(lo):
-                out.append(chr(int(hi + lo, 16)))
-                i += 3
-                continue
-        if ch == "+" and plus_as_space:
-            out.append(" ")
-        else:
-            out.append(ch)
-        i += 1
-    return "".join(out)
+    if "%" not in text and not (plus_as_space and "+" in text):
+        return text
+    pattern = _ESCAPE_OR_PLUS if plus_as_space else _ESCAPE
+    return pattern.sub(_decode_match, text)
 
 
 def quote(text: str) -> str:

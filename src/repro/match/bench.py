@@ -86,19 +86,12 @@ class FusedMatchBench:
         return self.to_bench_result().to_json()
 
 
-def _best_pass_seconds(
-    signature_set, normalized: list[str], repeats: int
-) -> float:
-    best = float("inf")
+def _pass_seconds(signature_set, normalized: list[str]) -> float:
     evaluate = signature_set.evaluate_normalized
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for payload in normalized:
-            evaluate(payload)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    return best
+    start = time.perf_counter()
+    for payload in normalized:
+        evaluate(payload)
+    return time.perf_counter() - start
 
 
 def bench_fused_matching(
@@ -131,11 +124,17 @@ def bench_fused_matching(
         ]
     identical = fused_verdicts == legacy_verdicts
 
-    fused_total = _best_pass_seconds(signature_set, normalized, repeats)
-    with fused_disabled():
-        legacy_total = _best_pass_seconds(
-            signature_set, normalized, repeats
+    # Alternate the engines' passes so a host speed swing of seconds
+    # touches both best-of minima alike instead of skewing the ratio.
+    fused_total = legacy_total = float("inf")
+    for _ in range(repeats):
+        fused_total = min(
+            fused_total, _pass_seconds(signature_set, normalized)
         )
+        with fused_disabled():
+            legacy_total = min(
+                legacy_total, _pass_seconds(signature_set, normalized)
+            )
 
     overhead = timer_overhead()
     samples = []

@@ -22,7 +22,9 @@ around the scanner entirely and run the reference loop.
 signatures' features is matched once, and each signature reduces the
 shared vector with a precomputed index gather and the same dot-product
 expression as ``GeneralizedSignature.probability``, making probabilities
-bit-identical to the per-signature path.
+bit-identical to the per-signature path.  Traffic repeats a small set of
+count vectors, so the evaluator memoizes its answer per vector, up to
+:data:`THETA_MEMO_CAP` distinct vectors.
 """
 
 from __future__ import annotations
@@ -64,12 +66,15 @@ class MatchStats:
         finditer_calls: exact-count regex runs the gates let through.
         dfa_overflows: times the merged automaton blew its state budget
             (after which its patterns run ``finditer`` unconditionally).
+        memo_hits: ``FusedSetEvaluator.probabilities`` calls answered
+            from an evaluator's Θ memo instead of the dot products.
     """
 
     payloads: int = 0
     ascii_fallbacks: int = 0
     finditer_calls: int = 0
     dfa_overflows: int = 0
+    memo_hits: int = 0
 
 
 class FusedMatcher:
@@ -224,6 +229,13 @@ def matcher_for_patterns(patterns: tuple[str, ...]) -> FusedMatcher:
     return FusedMatcher(patterns)
 
 
+#: Most distinct count vectors one :class:`FusedSetEvaluator` remembers.
+#: Past the cap new vectors are scored but not stored, so hostile traffic
+#: with ever-new vectors costs one extra dict lookup per call, never
+#: unbounded memory.
+THETA_MEMO_CAP = 1024
+
+
 class FusedSetEvaluator:
     """Scores every signature of a set from one shared count vector.
 
@@ -260,6 +272,8 @@ class FusedSetEvaluator:
         self._intercepts = [
             float(signature.model.intercept) for signature in signatures
         ]
+        # count-vector bytes -> per-signature probabilities.
+        self._memo: dict[bytes, tuple[float, ...]] = {}
 
     def probabilities(self, normalized: str) -> list[float]:
         """Per-signature probabilities, bit-identical to the legacy path.
@@ -267,14 +281,23 @@ class FusedSetEvaluator:
         Each signature's slice of the shared gathered vector equals its
         legacy ``feature_vector`` (float64, same order), and the score
         expression repeats ``GeneralizedSignature.probability`` verbatim,
-        so not even the last ulp differs.
+        so not even the last ulp differs.  The probabilities are a pure
+        function of the int64 count vector, so a memoized answer is the
+        same bits the expression would recompute.
         """
-        counts = self.matcher.count_vector(normalized).astype(np.float64)
-        gathered = counts[self._flat_gather]
+        counts = self.matcher.count_vector(normalized)
+        key = counts.tobytes()
+        cached = self._memo.get(key)
+        if cached is not None:
+            self.matcher.stats.memo_hits += 1
+            return list(cached)
+        gathered = counts.astype(np.float64)[self._flat_gather]
         out: list[float] = []
         for (start, stop), coefficients, intercept in zip(
             self._slices, self._coefficients, self._intercepts
         ):
             z = intercept + float(gathered[start:stop] @ coefficients)
             out.append(float(sigmoid(z)))
+        if len(self._memo) < THETA_MEMO_CAP:
+            self._memo[key] = tuple(out)
         return out

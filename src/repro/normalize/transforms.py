@@ -57,6 +57,9 @@ class UrlDecode(Transform):
         # wire form, so it decodes exactly once — a ``%2B`` that decodes to
         # ``+`` in a later round is a literal plus, not a space.
         current = text.replace("+", " ")
+        if "%" not in current:
+            # Both escape forms start with ``%``: no round can apply.
+            return current
         for _ in range(self.max_rounds):
             decoded = self._PERCENT_U.sub(
                 lambda m: chr(int(m.group(1), 16)), current

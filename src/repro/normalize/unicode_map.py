@@ -9,6 +9,8 @@ unmapped and non-ASCII is dropped by the transform.
 
 from __future__ import annotations
 
+import re
+
 #: Explicit single-character folds.
 _EXPLICIT: dict[str, str] = {
     "‘": "'",  # left single quotation mark
@@ -52,13 +54,15 @@ def _fullwidth_folds() -> dict[str, str]:
 FOLD_TABLE: dict[str, str] = {**_fullwidth_folds(), **_EXPLICIT}
 
 
-def fold_char(ch: str) -> str:
-    """Fold one character to ASCII; returns '' for unmapped non-ASCII."""
-    if ord(ch) < 128:
-        return ch
-    return FOLD_TABLE.get(ch, "")
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
+
+
+def _fold_match(match: re.Match[str]) -> str:
+    return FOLD_TABLE.get(match.group(), "")
 
 
 def fold(text: str) -> str:
-    """Fold a whole string to ASCII."""
-    return "".join(fold_char(ch) for ch in text)
+    """Fold a whole string to ASCII; unmapped non-ASCII characters drop."""
+    if text.isascii():
+        return text
+    return _NON_ASCII.sub(_fold_match, text)

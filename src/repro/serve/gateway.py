@@ -469,15 +469,14 @@ class DetectionGateway:
                         "utf-8", errors="replace"
                     )
                     await self._admit(outbox, payload)
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # asyncio discarded an oversized line; answer the
-                    # error in order and keep reading.
+                line = await _read_line(reader)
+                while line is None:
+                    # An oversized line was skipped through its newline:
+                    # answer it once, in order, and read the next one.
                     self.telemetry.increment("protocol_errors")
                     await outbox.room()
                     outbox.push(encode_error("line too long"))
-                    line = b"\n"
+                    line = await _read_line(reader)
         finally:
             outbox.close()
             await flusher
@@ -615,6 +614,34 @@ class DetectionGateway:
         if path in ("/healthz", "/stats", "/metrics", "/reload", "/inspect"):
             return 405, {"error": f"{method} not allowed on {path}"}
         return 404, {"error": f"no route {path}"}
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next line (``b""`` at EOF), or ``None`` for a line longer
+    than the stream limit, discarded up to and including its newline.
+
+    ``StreamReader.readline`` raises on such a line after dropping only
+    what it has buffered, so the line's unread tail would come back as
+    lines of its own; this skips through to the newline instead.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        skip = exc.consumed
+    while True:
+        # The overrun left *skip* bytes buffered; drop them and look for
+        # the newline in what follows.
+        await reader.readexactly(skip)
+        try:
+            await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            skip = exc.consumed
+        else:
+            return None
 
 
 def _default_cost(payload: str) -> float:

@@ -6,7 +6,9 @@ import string
 
 import numpy as np
 
+from repro.conformance.fuzz import generate_corpus
 from repro.features.definitions import build_catalog
+from repro.match import engine
 from repro.match import (
     FusedMatcher,
     FusedSetEvaluator,
@@ -141,6 +143,85 @@ class TestFusedSetEvaluator:
         small_signatures.warm()
         swept = small_signatures.with_threshold(0.9)
         assert swept._fused is small_signatures._fused
+
+
+def legacy_probabilities(signature_set, normalized):
+    return [s.probability(normalized) for s in signature_set.signatures]
+
+
+class TestThetaMemo:
+    @staticmethod
+    def corpus(signature_set):
+        return [
+            signature_set.normalizer(payload)
+            for payload in generate_corpus(seed=2012, budget="small")
+        ]
+
+    def test_cold_and_warm_passes_bit_identical(self, small_signatures):
+        evaluator = FusedSetEvaluator(small_signatures.signatures)
+        corpus = self.corpus(small_signatures)
+        for _ in ("cold", "warm"):
+            for normalized in corpus:
+                assert evaluator.probabilities(normalized) == (
+                    legacy_probabilities(small_signatures, normalized)
+                ), normalized
+
+    def test_memo_hits_count_exactly(self, small_signatures):
+        evaluator = FusedSetEvaluator(small_signatures.signatures)
+        stats = evaluator.matcher.stats
+        corpus = self.corpus(small_signatures)
+        distinct = {
+            evaluator.matcher.count_vector(n).tobytes() for n in corpus
+        }
+        assert len(distinct) < len(corpus) < engine.THETA_MEMO_CAP
+        before = stats.memo_hits
+        for normalized in corpus:
+            evaluator.probabilities(normalized)
+        assert stats.memo_hits - before == len(corpus) - len(distinct)
+        before = stats.memo_hits
+        for normalized in corpus:
+            evaluator.probabilities(normalized)
+        assert stats.memo_hits - before == len(corpus)
+
+    def test_memo_stops_growing_at_the_cap(
+        self, small_signatures, monkeypatch
+    ):
+        monkeypatch.setattr(engine, "THETA_MEMO_CAP", 16)
+        evaluator = FusedSetEvaluator(small_signatures.signatures)
+        corpus = self.corpus(small_signatures)
+        distinct = {
+            evaluator.matcher.count_vector(n).tobytes() for n in corpus
+        }
+        assert len(distinct) > 16
+        for _ in ("cold", "warm"):
+            for normalized in corpus:
+                assert evaluator.probabilities(normalized) == (
+                    legacy_probabilities(small_signatures, normalized)
+                ), normalized
+                assert len(evaluator._memo) <= 16
+        assert len(evaluator._memo) == 16
+
+    def test_returned_list_does_not_alias_the_memo(self, small_signatures):
+        evaluator = FusedSetEvaluator(small_signatures.signatures)
+        first = evaluator.probabilities("union select")
+        first[0] = -1.0
+        assert evaluator.probabilities("union select") == (
+            legacy_probabilities(small_signatures, "union select")
+        )
+
+    def test_threshold_sweep_shares_memo_and_stays_correct(
+        self, small_signatures
+    ):
+        small_signatures.warm()
+        corpus = self.corpus(small_signatures)
+        for threshold in (0.1, 0.5, 0.9, 0.5):
+            swept = small_signatures.with_threshold(threshold)
+            assert swept._fused is small_signatures._fused
+            for normalized in corpus:
+                fused = swept.evaluate_normalized(normalized)
+                with fused_disabled():
+                    legacy = swept.evaluate_normalized(normalized)
+                assert fused == legacy, (threshold, normalized)
 
 
 class TestFusedToggle:

@@ -1,23 +1,23 @@
 """Tests for the unicode folding table."""
 
-from repro.normalize.unicode_map import FOLD_TABLE, fold, fold_char
+from repro.normalize.unicode_map import FOLD_TABLE, fold
 
 
 class TestFoldChar:
     def test_ascii_identity(self):
         for ch in "aZ0'\"; ":
-            assert fold_char(ch) == ch
+            assert fold(ch) == ch
 
     def test_fullwidth_maps_to_ascii(self):
-        assert fold_char("Ａ") == "A"
-        assert fold_char("＇") == "'"
-        assert fold_char("＝") == "="
+        assert fold("Ａ") == "A"
+        assert fold("＇") == "'"
+        assert fold("＝") == "="
 
     def test_smart_quote(self):
-        assert fold_char("’") == "'"
+        assert fold("’") == "'"
 
     def test_unmapped_becomes_empty(self):
-        assert fold_char("漢") == ""
+        assert fold("漢") == ""
 
 
 class TestFoldTable:

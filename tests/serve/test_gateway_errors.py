@@ -128,6 +128,35 @@ class TestOversizedDataPlane:
         assert last["alert"] is False
         assert errors == 1
 
+    def test_line_past_the_stream_limit_is_answered_once(self):
+        # 320 KiB overruns the stream limit (4 x MAX_LINE_BYTES) before
+        # its newline is buffered: one error, then the next real line —
+        # no phantom empty payload, no payload made of the line's tail.
+        async def scenario():
+            gateway = DetectionGateway(SignatureStore(toy_detector()))
+            host, port = await gateway.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                b"id=1' union select 1\n"
+                + b"x" * (320 * 1024)
+                + b"\nq=after\n"
+            )
+            writer.write_eof()
+            raw = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            await writer.wait_closed()
+            await gateway.stop()
+            return raw, gateway.telemetry.counter("protocol_errors")
+
+        raw, errors = asyncio.run(scenario())
+        responses = [json.loads(line) for line in raw.splitlines()]
+        assert len(responses) == 3, responses
+        first, middle, last = responses
+        assert first["alert"] is True
+        assert middle == {"error": "line too long"}
+        assert last["alert"] is False
+        assert errors == 1
+
     def test_oversized_first_line_of_a_connection(self):
         # The very first line decides the dialect; an oversized one can
         # not be classified and the connection is answered-and-closed —
