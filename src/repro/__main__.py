@@ -601,14 +601,8 @@ def _cmd_conform_diff(args: argparse.Namespace) -> int:
 
 def _cmd_match_bench(args: argparse.Namespace) -> int:
     from repro.conformance import generate_corpus
-    from repro.match import bench_fused_matching, fused_enabled
+    from repro.match import bench_fused_matching
 
-    if not fused_enabled():
-        print(
-            "repro match: fused engine is disabled (REPRO_FUSED=0); "
-            "the bench would time the legacy path against itself"
-        )
-        return 2
     detector, source = _conform_detector(args)
     payloads = generate_corpus(seed=args.seed, budget=args.budget)
     print(
@@ -634,7 +628,7 @@ def _cmd_match_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_match_explain(args: argparse.Namespace) -> int:
-    from repro.match import fused_enabled, matcher_for_patterns
+    from repro.match import matcher_for_patterns
 
     detector, source = _conform_detector(args)
     signature_set = detector.signature_set
@@ -644,8 +638,7 @@ def _cmd_match_explain(args: argparse.Namespace) -> int:
             if definition.pattern not in index_of:
                 index_of[definition.pattern] = len(index_of)
     matcher = matcher_for_patterns(tuple(index_of))
-    state = "on" if fused_enabled() else "off (REPRO_FUSED=0)"
-    print(f"repro match: detector {source}, fused engine {state}")
+    print(f"repro match: detector {source}")
     print(matcher.describe())
     if args.patterns:
         for plan in matcher.plans:

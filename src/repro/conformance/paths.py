@@ -8,8 +8,9 @@ to the :class:`~repro.conformance.verdict.Verdict` normal form, so the
 oracle can compare them without knowing how any of them work inside.
 
 Paths declare applicability via :meth:`DetectorPath.supports`: the
-cluster path needs a ``signature_set`` to shard, the multiprocess batch
-paths need a picklable detector, and everything else takes any
+cluster path needs a ``signature_set`` to shard and the reference path
+one to pin to the reference loop, the multiprocess batch paths need a
+picklable detector, and everything else takes any
 :class:`~repro.ids.engine.Detector`.
 """
 
@@ -91,26 +92,34 @@ class SerialPath(DetectorPath):
 
 
 class LegacySerialPath(DetectorPath):
-    """The serial loop with the fused fast path forced off.
+    """The serial loop over the signature set's reference twin.
 
-    Every other path inherits whatever engine ``SignatureSet`` routes to
-    (the fused one, by default); this path pins the per-signature
-    reference loop, so any fused-vs-legacy disagreement — scores to the
-    last ulp, verdicts exactly — surfaces as a divergence against
-    ``serial`` instead of silently shifting every path together.
+    Every other path scores through the set's own evaluator (the fused
+    one, by default); this path inspects through
+    :meth:`SignatureSet.reference`, the per-signature reference loop, so
+    any fused-vs-reference disagreement — scores to the last ulp,
+    verdicts exactly — surfaces as a divergence against ``serial``
+    instead of silently shifting every path together.
     """
 
     name = "serial-legacy"
 
-    def run(self, detector, payloads: list[str]) -> list[Verdict]:
-        """One ``inspect`` call per payload under ``fused_disabled()``."""
-        from repro.match import fused_disabled
+    def supports(self, detector) -> bool:
+        """Pinning the reference loop needs a :class:`SignatureSet`."""
+        return isinstance(
+            getattr(detector, "signature_set", None), SignatureSet
+        )
 
-        with fused_disabled():
-            return [
-                Verdict.from_detection(detector.inspect(p))
-                for p in payloads
-            ]
+    def run(self, detector, payloads: list[str]) -> list[Verdict]:
+        """One reference-loop ``inspect`` call per payload."""
+        from repro.ids.engine import PSigeneDetector
+
+        reference = PSigeneDetector(
+            detector.signature_set.reference(), name=detector.name
+        )
+        return [
+            Verdict.from_detection(reference.inspect(p)) for p in payloads
+        ]
 
 
 class EngineRunPath(DetectorPath):

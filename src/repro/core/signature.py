@@ -10,20 +10,15 @@ over the normalized request payload (Section III-C).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.features.definitions import FeatureCatalog
 from repro.learn.logistic import LogisticModel, sigmoid
-from repro.match import FusedSetEvaluator, fused_enabled
+from repro.match import FusedSetEvaluator
 from repro.normalize import Normalizer
 from repro.regexlib import compile_pattern
-
-# Sentinel cached when a set's features defeat the fused compiler; the
-# legacy loop then answers every evaluation without retrying the build.
-_UNFUSABLE = object()
 
 
 @dataclass
@@ -92,11 +87,33 @@ class GeneralizedSignature:
         return f"Sig_b{self.bicluster_index}: g({body})"
 
 
+class ReferenceSetEvaluator:
+    """The per-signature reference loop behind the fused evaluator's
+    interface.
+
+    Every probability comes straight from
+    :meth:`GeneralizedSignature.probability` — one regex traversal per
+    feature per signature.  It is the oracle the fused engine
+    (:class:`~repro.match.engine.FusedSetEvaluator`) is proven against,
+    and the fallback for sets the fused compiler rejects.
+    """
+
+    def __init__(self, signatures: list[GeneralizedSignature]) -> None:
+        self.signatures = list(signatures)
+
+    def probabilities(self, normalized: str) -> list[float]:
+        """Per-signature probabilities, in signature order."""
+        return [s.probability(normalized) for s in self.signatures]
+
+
 class SignatureSet:
     """An ordered collection of generalized signatures with one normalizer.
 
     The set alerts when *any* member signature's probability crosses its
-    threshold — pSigene's operational semantics inside Bro.
+    threshold — pSigene's operational semantics inside Bro.  Scores come
+    from one evaluator slot: the fused engine by default, or the
+    reference loop for a set built by :meth:`reference` (or one whose
+    features the fused compiler rejects).
     """
 
     def __init__(
@@ -106,34 +123,51 @@ class SignatureSet:
     ) -> None:
         self.signatures = list(signatures)
         self.normalizer = normalizer if normalizer is not None else Normalizer()
-        self._fused = None
+        self._evaluator = None
 
-    def _fused_evaluator(self):
-        """The set's fused evaluator, built lazily; ``_UNFUSABLE`` when
-        the fused compiler rejected the feature union (legacy loop runs
-        instead — slower, never wrong)."""
-        if self._fused is None:
-            try:
-                self._fused = FusedSetEvaluator(self.signatures)
-            except Exception:
-                self._fused = _UNFUSABLE
-        return self._fused
+    @property
+    def evaluator(self) -> FusedSetEvaluator | ReferenceSetEvaluator:
+        """The set's evaluator, built on first use.
+
+        A :class:`FusedSetEvaluator` unless the set is empty or the fused
+        compiler rejected its feature union; the reference loop answers
+        then instead — slower, never wrong.
+        """
+        if self._evaluator is None:
+            self._evaluator = ReferenceSetEvaluator(self.signatures)
+            if self.signatures:
+                try:
+                    self._evaluator = FusedSetEvaluator(self.signatures)
+                except Exception:
+                    pass
+        return self._evaluator
 
     def warm(self) -> bool:
-        """Build the fused evaluator eagerly (the gateway publish path
-        calls this so the first request never pays compile cost).
+        """Build the evaluator eagerly (the gateway publish path calls
+        this so the first request never pays compile cost).
 
-        Returns True when the set will take the fused fast path.
+        Returns True when the set takes the fused fast path.
         """
-        if not self.signatures:
-            return False
-        return self._fused_evaluator() is not _UNFUSABLE
+        return isinstance(self.evaluator, FusedSetEvaluator)
+
+    def reference(self) -> "SignatureSet":
+        """The same signatures and normalizer, pinned to the reference
+        loop.
+
+        The returned set scores bit-identically to this one; it exists
+        so the conformance oracle, the matching bench and Experiment 4
+        can drive the reference evaluator without touching this set.
+        """
+        pinned = SignatureSet(self.signatures, normalizer=self.normalizer)
+        pinned._evaluator = ReferenceSetEvaluator(pinned.signatures)
+        return pinned
 
     def __getstate__(self) -> dict:
-        """Pickle without the fused evaluator; workers rebuild it lazily
-        from the process-wide matcher memo."""
+        """Pickle without a fused evaluator (workers rebuild it lazily
+        from the process-wide matcher memo); a reference pin survives."""
         state = dict(self.__dict__)
-        state["_fused"] = None
+        if isinstance(state["_evaluator"], FusedSetEvaluator):
+            state["_evaluator"] = None
         return state
 
     def __len__(self) -> int:
@@ -147,14 +181,7 @@ class SignatureSet:
 
     def probabilities(self, payload: str) -> np.ndarray:
         """Per-signature probabilities for a raw payload."""
-        normalized = self.normalizer(payload)
-        if fused_enabled() and self.signatures:
-            evaluator = self._fused_evaluator()
-            if evaluator is not _UNFUSABLE:
-                return np.array(evaluator.probabilities(normalized))
-        return np.array(
-            [s.probability(normalized) for s in self.signatures]
-        )
+        return np.array(self.evaluator.probabilities(self.normalizer(payload)))
 
     def evaluate(self, payload: str) -> tuple[float, list[int]]:
         """One-pass verdict: ``(score, fired bicluster indices)``.
@@ -171,63 +198,21 @@ class SignatureSet:
     ) -> tuple[float, list[int]]:
         """:meth:`evaluate` for an already-normalized payload.
 
-        Takes the fused single-pass engine (:mod:`repro.match`) when it
-        is enabled and the set compiled; otherwise the per-signature
-        reference loop runs.  Both paths produce bit-identical scores
-        and verdicts — the conformance oracle's ``serial-legacy`` path
-        holds them to that.
+        Folds the :attr:`evaluator`'s per-signature probabilities.  The
+        fused and reference evaluators produce bit-identical scores and
+        verdicts — the conformance oracle's ``serial-legacy`` path holds
+        them to that.
         """
         score = 0.0
         fired: list[int] = []
-        if fused_enabled() and self.signatures:
-            evaluator = self._fused_evaluator()
-            if evaluator is not _UNFUSABLE:
-                for signature, probability in zip(
-                    self.signatures,
-                    evaluator.probabilities(normalized_payload),
-                ):
-                    if probability > score:
-                        score = probability
-                    if probability >= signature.threshold:
-                        fired.append(signature.bicluster_index)
-                return score, fired
-        for signature in self.signatures:
-            probability = signature.probability(normalized_payload)
+        for signature, probability in zip(
+            self.signatures, self.evaluator.probabilities(normalized_payload)
+        ):
             if probability > score:
                 score = probability
             if probability >= signature.threshold:
                 fired.append(signature.bicluster_index)
         return score, fired
-
-    def score(self, payload: str) -> float:
-        """Max per-signature probability (the set's decision score).
-
-        .. deprecated::
-            Use :meth:`evaluate` (or mount the set behind a
-            :class:`~repro.ids.engine.Detector`); calling ``score`` and
-            ``alerts`` separately normalizes and matches twice.
-        """
-        warnings.warn(
-            "SignatureSet.score() is deprecated; use evaluate() — it "
-            "returns (score, fired) in one normalization pass",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.evaluate(payload)[0]
-
-    def alerts(self, payload: str) -> list[int]:
-        """Bicluster indices of the signatures that fire on *payload*.
-
-        .. deprecated::
-            Use :meth:`evaluate`; see :meth:`score`.
-        """
-        warnings.warn(
-            "SignatureSet.alerts() is deprecated; use evaluate() — it "
-            "returns (score, fired) in one normalization pass",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.evaluate(payload)[1]
 
     def matches(self, payload: str) -> bool:
         """True when any member signature fires on the raw payload."""
@@ -259,7 +244,8 @@ class SignatureSet:
         ]
         swept = SignatureSet(replaced, normalizer=self.normalizer)
         # Probabilities are independent of thresholds and the sweep keeps
-        # features/models/order, so the fused evaluator carries over —
-        # a 100-point ROC sweep compiles the catalog exactly once.
-        swept._fused = self._fused
+        # features/models/order, so the evaluator carries over — a
+        # 100-point ROC sweep compiles the catalog exactly once, and a
+        # reference set's sweep stays on the reference loop.
+        swept._evaluator = self._evaluator
         return swept

@@ -1,8 +1,7 @@
 """Evaluation reporting — one package, two renderings.
 
-Historically ``repro.eval.report`` (the HTML report) and
-``repro.eval.reporting`` (plain-text tables) sat side by side, one
-character apart; this package merges them behind two entry points:
+This package holds the HTML report and the plain-text tables behind
+two entry points:
 
 - :func:`html` — the self-contained HTML evaluation report
   (:mod:`repro.eval.report.html`).
@@ -10,8 +9,7 @@ character apart; this package merges them behind two entry points:
   (:mod:`repro.eval.report.text`).
 
 The historical names (``render_report``, ``write_report``,
-``format_table``, ``percent``) are re-exported unchanged, and the old
-``repro.eval.reporting`` module remains importable as a deprecated shim.
+``format_table``, ``percent``) are re-exported unchanged.
 """
 
 from __future__ import annotations

@@ -54,8 +54,7 @@ class PSigeneDetector:
         """Alert when any generalized signature crosses its threshold.
 
         One :meth:`SignatureSet.evaluate` call normalizes the payload once
-        and walks the signatures once; the earlier ``alerts()`` + ``score()``
-        pair did both twice, doubling per-request work.
+        and walks the signatures once.
         """
         score, fired = self.signature_set.evaluate(payload)
         return Detection(alert=bool(fired), score=score, matched_sids=fired)

@@ -1,12 +1,13 @@
 """Fused-versus-legacy serial matching benchmark.
 
 One signature set, one payload mix, two engines: the fused single-pass
-path and the per-signature reference loop (forced via
-:func:`repro.match.fused_disabled`).  Aggregate µs/request comes from the
-best of several whole-trace passes (robust to scheduler noise); the
-percentile columns come from one instrumented per-request pass with the
-measured ``perf_counter`` overhead subtracted, mirroring the discipline
-of :func:`repro.parallel.batch.bench_batch_matching`.
+path and the per-signature reference loop (the set's
+:meth:`~repro.core.signature.SignatureSet.reference` twin).  Aggregate
+µs/request comes from the best of several whole-trace passes (robust to
+scheduler noise); the percentile columns come from one instrumented
+per-request pass with the measured ``perf_counter`` overhead subtracted,
+mirroring the discipline of
+:func:`repro.parallel.batch.bench_batch_matching`.
 
 The result serializes to the machine-readable
 ``benchmarks/results/BENCH_matching.json`` artifact that CI's
@@ -100,7 +101,8 @@ def bench_fused_matching(
     *,
     repeats: int = 5,
 ) -> FusedMatchBench:
-    """Measure ``evaluate_normalized`` with and without the fused engine.
+    """Measure ``evaluate_normalized`` on the fused engine and on the
+    set's reference twin.
 
     Both engines see identical pre-normalized inputs (normalization cost
     is the same fixed prologue either way and is excluded, exactly like
@@ -109,19 +111,18 @@ def bench_fused_matching(
     """
     # Deferred: repro.parallel reaches back through the detector stack
     # into repro.match, so a module-level import would be circular.
-    from repro.match import fused_disabled
     from repro.parallel.timing import timer_overhead
 
     normalized = [signature_set.normalizer(p) for p in payloads]
-    signature_set.warm()
+    fused = signature_set.warm()
+    reference = signature_set.reference()
 
     fused_verdicts = [
         signature_set.evaluate_normalized(n) for n in normalized
     ]
-    with fused_disabled():
-        legacy_verdicts = [
-            signature_set.evaluate_normalized(n) for n in normalized
-        ]
+    legacy_verdicts = [
+        reference.evaluate_normalized(n) for n in normalized
+    ]
     identical = fused_verdicts == legacy_verdicts
 
     # Alternate the engines' passes so a host speed swing of seconds
@@ -131,10 +132,9 @@ def bench_fused_matching(
         fused_total = min(
             fused_total, _pass_seconds(signature_set, normalized)
         )
-        with fused_disabled():
-            legacy_total = min(
-                legacy_total, _pass_seconds(signature_set, normalized)
-            )
+        legacy_total = min(
+            legacy_total, _pass_seconds(reference, normalized)
+        )
 
     overhead = timer_overhead()
     samples = []
@@ -153,11 +153,8 @@ def bench_fused_matching(
     n = max(count, 1)
     fused_us = fused_total / n * 1e6
     legacy_us = legacy_total / n * 1e6
-    evaluator = signature_set._fused_evaluator()
     patterns = (
-        len(evaluator.matcher.patterns)
-        if evaluator is not None and hasattr(evaluator, "matcher")
-        else 0
+        len(signature_set.evaluator.matcher.patterns) if fused else 0
     )
     return FusedMatchBench(
         requests=count,

@@ -43,7 +43,6 @@ from repro.serve.loadgen import (
 from repro.serve.store import SignatureStore, StoreError, StoreVersion
 from repro.serve.supervisor import FleetConfig, FleetError, FleetSupervisor
 from repro.serve.telemetry import (
-    LatencyHistogram,
     Telemetry,
     merge_raw_states,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "FleetLoadReport",
     "FleetSupervisor",
     "GatewayConfig",
-    "LatencyHistogram",
     "LoadReport",
     "PROBE_PAYLOADS",
     "QueueClosed",

@@ -198,20 +198,31 @@ class TestLegacySerialPath:
         legacy = LegacySerialPath().run(detector, PAYLOADS)
         assert fused == legacy
 
-    def test_runs_with_fused_disabled(self):
+    def test_runs_the_reference_loop(self, small_signatures, monkeypatch):
         from repro.conformance import LegacySerialPath
-        from repro.match import fused_enabled
 
-        class Probe:
-            name = "probe"
+        small_signatures.warm()
+        stats = small_signatures.evaluator.matcher.stats
+        calls = []
+        signature_type = type(small_signatures[0])
+        original = signature_type.probability
 
-            def inspect(self, payload):
-                states.append(fused_enabled())
-                return toy_detector().inspect(payload)
+        def counting(self, normalized_payload):
+            calls.append(self.bicluster_index)
+            return original(self, normalized_payload)
 
-        states: list[bool] = []
-        LegacySerialPath().run(Probe(), ["x"])
-        assert states == [False]
+        monkeypatch.setattr(signature_type, "probability", counting)
+        before = stats.payloads
+        LegacySerialPath().run(PSigeneDetector(small_signatures), PAYLOADS)
+        assert stats.payloads == before
+        assert len(calls) == len(small_signatures) * len(PAYLOADS)
+
+    def test_requires_a_signature_set(self, small_signatures):
+        from repro.conformance import LegacySerialPath
+
+        path = LegacySerialPath()
+        assert not path.supports(toy_detector())
+        assert path.supports(PSigeneDetector(small_signatures))
 
     def test_cluster_path_requires_a_signature_set(self, small_signatures):
         path = ClusterPath()

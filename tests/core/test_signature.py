@@ -97,15 +97,6 @@ class TestSignatureSet:
         _score, fired = signatures.evaluate("1' union select sleep(1)")
         assert fired == [1]  # second signature's 0.9 threshold not met
 
-    def test_deprecated_entry_points_warn_but_work(self):
-        signatures = self._set()
-        payload = "1' union select sleep(1)"
-        score, fired = signatures.evaluate(payload)
-        with pytest.warns(DeprecationWarning, match="evaluate"):
-            assert signatures.score(payload) == pytest.approx(score)
-        with pytest.warns(DeprecationWarning, match="evaluate"):
-            assert signatures.alerts(payload) == fired
-
     def test_normalization_inside_set(self):
         signatures = self._set()
         raw, _ = signatures.evaluate("1' union select sleep(1)")
@@ -192,33 +183,26 @@ class TestEvaluateNormalizedEdges:
 
     def test_probability_exactly_at_threshold_fires(self):
         # Alerting is >=, not >: a probability equal to the threshold
-        # must fire, on the fused and the legacy path alike.
-        from repro.match import fused_disabled
-
+        # must fire, on the fused and the reference path alike.
         signatures = SignatureSet([self._tie_signature(0.5)])
         score, fired = signatures.evaluate_normalized("anything")
         assert (score, fired) == (0.5, [1])
-        with fused_disabled():
-            assert signatures.evaluate_normalized("anything") == (
-                0.5, [1]
-            )
+        assert signatures.reference().evaluate_normalized("anything") == (
+            0.5, [1]
+        )
 
     def test_fused_agrees_with_legacy_over_fuzz_corpus(
         self, small_signatures
     ):
         from repro.conformance import generate_corpus
-        from repro.match import fused_disabled
 
         payloads = generate_corpus(seed=97, budget="small")
         normalized = [small_signatures.normalizer(p) for p in payloads]
         fused = [
             small_signatures.evaluate_normalized(n) for n in normalized
         ]
-        with fused_disabled():
-            legacy = [
-                small_signatures.evaluate_normalized(n)
-                for n in normalized
-            ]
+        reference = small_signatures.reference()
+        legacy = [reference.evaluate_normalized(n) for n in normalized]
         assert fused == legacy
 
     def test_threshold_sweep_compiles_nothing_new(self, small_signatures):

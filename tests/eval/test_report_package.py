@@ -1,10 +1,7 @@
-"""Tests for the merged repro.eval.report package and its shims."""
+"""Tests for the merged repro.eval.report package."""
 
 import importlib
-import sys
 import warnings
-
-import pytest
 
 
 class TestEntryPoints:
@@ -43,13 +40,6 @@ class TestEntryPoints:
 
 
 class TestDeprecatedShim:
-    def test_reporting_import_warns_but_works(self):
-        sys.modules.pop("repro.eval.reporting", None)
-        with pytest.warns(DeprecationWarning, match="repro.eval.report"):
-            import repro.eval.reporting as reporting
-        assert reporting.format_table(["A"], [["1"]]).startswith("A")
-        assert reporting.percent(0.9052) == "90.52"
-
     def test_submodules_import_cleanly(self):
         # importlib, not `from ... import html`: the package defines an
         # html() *function* that shadows the submodule as an attribute.

@@ -53,59 +53,6 @@ class TestPayloadExtraction:
         assert request.path == "/products.php"
 
 
-class TestPayloadDeprecationShim:
-    """payload() is a shim over surfaces(); legacy bytes are pinned."""
-
-    CASES = (
-        HttpRequest(query="id=1"),
-        HttpRequest(),
-        HttpRequest(
-            method="POST",
-            query="a=1",
-            headers={"content-type": "application/x-www-form-urlencoded"},
-            body="b=2",
-        ),
-        HttpRequest(
-            method="POST",
-            headers={"content-type": "application/x-www-form-urlencoded"},
-            body="user=admin%27--",
-        ),
-        HttpRequest(
-            method="POST",
-            query="q=1",
-            headers={"content-type": "application/json"},
-            body='{"a": 1}',
-        ),
-        HttpRequest(method="POST", body="x=1"),
-        HttpRequest(method="GET", body="x=1"),  # GET body, no ctype
-        HttpRequest(query="id=1%27+OR+1%3D1"),
-    )
-
-    def test_payload_warns(self):
-        with pytest.warns(DeprecationWarning, match="flat_payload"):
-            HttpRequest(query="id=1").payload()
-
-    @pytest.mark.parametrize("request_", CASES)
-    def test_byte_identical_to_legacy(self, request_):
-        """The shim's output must never shift a verdict: for every edge
-        shape it returns exactly the historical flattening."""
-        with pytest.warns(DeprecationWarning):
-            via_shim = request_.payload()
-        assert via_shim == request_.flat_payload()
-
-    @pytest.mark.parametrize("request_", CASES)
-    def test_shim_is_surfaces_joined_legacy_order(self, request_):
-        from repro.surfaces import LEGACY_SURFACES
-
-        joined = "&".join(
-            sv.value
-            for sv in request_.surfaces(LEGACY_SURFACES)
-            if sv.value
-        )
-        with pytest.warns(DeprecationWarning):
-            assert request_.payload() == joined
-
-
 class TestParameters:
     def test_ordered_pairs(self):
         request = HttpRequest(query="b=2&a=1")

@@ -164,9 +164,8 @@ class TestPSigeneDetector:
         assert run.detector == "psigene-9"
 
     def test_inspect_scores_each_signature_once(self, small_signatures):
-        # Regression: inspect() used to call alerts() + score(), each of
-        # which normalized the payload and evaluated every signature,
-        # doubling per-request work on the hot path.
+        # Regression: inspect() once normalized the payload and evaluated
+        # every signature twice per request, doubling hot-path work.
         calls = {"probability": 0}
         original = type(small_signatures[0]).probability
 
@@ -187,12 +186,9 @@ class TestPSigeneDetector:
         signature_set = type(small_signatures)(
             counted, normalizer=small_signatures.normalizer
         )
-        from repro.match import fused_disabled
-
-        with fused_disabled():
-            PSigeneDetector(signature_set).inspect(
-                "id=1' union select 1,2,3-- -"
-            )
+        PSigeneDetector(signature_set.reference()).inspect(
+            "id=1' union select 1,2,3-- -"
+        )
         assert calls["probability"] == len(counted)
         # The fused engine goes further: per-signature probability() is
         # bypassed entirely in favor of the shared count vector.

@@ -9,13 +9,11 @@ import numpy as np
 from repro.conformance.fuzz import generate_corpus
 from repro.features.definitions import build_catalog
 from repro.match import engine
+from repro.core.signature import ReferenceSetEvaluator
 from repro.match import (
     FusedMatcher,
     FusedSetEvaluator,
-    fused_disabled,
-    fused_enabled,
     matcher_for_patterns,
-    set_fused_enabled,
 )
 from repro.regexlib import count_all
 
@@ -111,13 +109,11 @@ class TestFusedSetEvaluator:
         self, small_signatures
     ):
         assert small_signatures.warm()
+        reference = small_signatures.reference()
         for payload in CRAFTED:
             normalized = small_signatures.normalizer(payload)
             fused = small_signatures.evaluate_normalized(normalized)
-            with fused_disabled():
-                legacy = small_signatures.evaluate_normalized(
-                    normalized
-                )
+            legacy = reference.evaluate_normalized(normalized)
             assert fused == legacy, payload
 
     def test_probabilities_array_matches_legacy(self, small_signatures):
@@ -125,8 +121,7 @@ class TestFusedSetEvaluator:
             "1' union select 1,2--"
         )
         fused = small_signatures.probabilities(normalized)
-        with fused_disabled():
-            legacy = small_signatures.probabilities(normalized)
+        legacy = small_signatures.reference().probabilities(normalized)
         assert np.array_equal(fused, legacy)
 
     def test_signature_set_pickles_without_fused_state(
@@ -142,7 +137,7 @@ class TestFusedSetEvaluator:
     def test_with_threshold_shares_compiled_plan(self, small_signatures):
         small_signatures.warm()
         swept = small_signatures.with_threshold(0.9)
-        assert swept._fused is small_signatures._fused
+        assert swept.evaluator is small_signatures.evaluator
 
 
 def legacy_probabilities(signature_set, normalized):
@@ -216,24 +211,79 @@ class TestThetaMemo:
         corpus = self.corpus(small_signatures)
         for threshold in (0.1, 0.5, 0.9, 0.5):
             swept = small_signatures.with_threshold(threshold)
-            assert swept._fused is small_signatures._fused
+            assert swept.evaluator is small_signatures.evaluator
+            reference = swept.reference()
             for normalized in corpus:
                 fused = swept.evaluate_normalized(normalized)
-                with fused_disabled():
-                    legacy = swept.evaluate_normalized(normalized)
+                legacy = reference.evaluate_normalized(normalized)
                 assert fused == legacy, (threshold, normalized)
 
 
-class TestFusedToggle:
-    def test_context_manager_restores(self):
-        initial = fused_enabled()
-        with fused_disabled():
-            assert not fused_enabled()
-        assert fused_enabled() == initial
+class TestReferenceSet:
+    def test_reference_leaves_the_original_fused(self, small_signatures):
+        # The reference loop is an object, not a process-wide switch:
+        # building and scoring through it must not move the original set
+        # off the fused engine.
+        assert small_signatures.warm()
+        stats = small_signatures.evaluator.matcher.stats
+        reference = small_signatures.reference()
+        assert isinstance(reference.evaluator, ReferenceSetEvaluator)
+        before = stats.payloads
+        reference.evaluate("1' union select 1,2--")
+        assert stats.payloads == before
+        small_signatures.evaluate("1' union select 3,4--")
+        assert stats.payloads == before + 1
+        assert isinstance(small_signatures.evaluator, FusedSetEvaluator)
 
-    def test_set_returns_previous(self):
-        previous = set_fused_enabled(False)
-        try:
-            assert fused_enabled() is False
-        finally:
-            set_fused_enabled(previous)
+    def test_pickled_reference_stays_on_the_reference_loop(
+        self, small_signatures, monkeypatch
+    ):
+        clone = pickle.loads(pickle.dumps(small_signatures.reference()))
+        assert isinstance(clone.evaluator, ReferenceSetEvaluator)
+        assert not clone.warm()
+        calls = []
+        original = type(clone[0]).probability
+
+        def counting(self, normalized_payload):
+            calls.append(self.bicluster_index)
+            return original(self, normalized_payload)
+
+        monkeypatch.setattr(type(clone[0]), "probability", counting)
+        normalized = clone.normalizer("1' or '1'='1")
+        assert clone.evaluate_normalized(normalized) == (
+            small_signatures.evaluate_normalized(normalized)
+        )
+        assert calls == [s.bicluster_index for s in clone]
+
+    def test_reference_shares_signatures_and_normalizer(
+        self, small_signatures
+    ):
+        reference = small_signatures.reference()
+        assert reference.normalizer is small_signatures.normalizer
+        assert all(
+            a is b for a, b in zip(reference, small_signatures)
+        )
+        assert len(reference) == len(small_signatures)
+
+    def test_threshold_sweep_keeps_the_reference_pin(self, small_signatures):
+        swept = small_signatures.reference().with_threshold(0.9)
+        assert isinstance(swept.evaluator, ReferenceSetEvaluator)
+        assert all(s.threshold == 0.9 for s in swept)
+
+    def test_unfusable_set_falls_back_to_the_reference_loop(
+        self, small_signatures, monkeypatch
+    ):
+        def reject(patterns):
+            raise engine.DfaBudgetError("forced")
+
+        monkeypatch.setattr(engine, "matcher_for_patterns", reject)
+        unfusable = type(small_signatures)(
+            small_signatures.signatures,
+            normalizer=small_signatures.normalizer,
+        )
+        assert not unfusable.warm()
+        assert isinstance(unfusable.evaluator, ReferenceSetEvaluator)
+        for payload in CRAFTED:
+            assert unfusable.evaluate(payload) == (
+                small_signatures.evaluate(payload)
+            ), payload

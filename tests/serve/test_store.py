@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import signature_set_to_json
+from repro.core import SignatureSet, signature_set_to_json
 from repro.ids import DeterministicRuleSet, PSigeneDetector, Rule
+from repro.match import FusedSetEvaluator
 from repro.serve import SignatureStore, StoreError, Telemetry
 
 
@@ -40,17 +41,21 @@ class TestWarmOnPublish:
     def test_mounting_compiles_the_fused_plan(self, small_signatures):
         # Publishing includes the fast path: the first request against a
         # freshly mounted detector must not pay fused-compile cost.
-        detector = PSigeneDetector(small_signatures)
-        detector.signature_set._fused = None
+        detector = PSigeneDetector(SignatureSet(small_signatures.signatures))
         SignatureStore(detector)
-        assert detector.signature_set._fused is not None
+        assert isinstance(
+            detector.signature_set._evaluator, FusedSetEvaluator
+        )
 
     def test_swap_compiles_before_publish(self, small_signatures):
         store = SignatureStore(toy_detector())
-        replacement = PSigeneDetector(small_signatures)
-        replacement.signature_set._fused = None
+        replacement = PSigeneDetector(
+            SignatureSet(small_signatures.signatures)
+        )
         store.swap_detector(replacement, source="test")
-        assert replacement.signature_set._fused is not None
+        assert isinstance(
+            replacement.signature_set._evaluator, FusedSetEvaluator
+        )
 
     def test_detectors_without_signature_sets_are_fine(self):
         assert SignatureStore(toy_detector()).version == 1
