@@ -25,7 +25,12 @@ import asyncio
 
 from repro.bench import BenchResult, corpus_digest
 from repro.conformance import train_default_detector
-from repro.serve import build_load_trace, run_fleet_loadgen
+from repro.serve import (
+    FleetConfig,
+    FleetSupervisor,
+    build_load_trace,
+    run_loadgen,
+)
 
 SHARD_COUNTS = (1, 2, 4)
 QUEUE_BOUND = 256
@@ -43,12 +48,13 @@ def test_serve_fleet_scaling(record, emit):
 
     capacity = {}
     for shards in SHARD_COUNTS:
-        report = asyncio.run(run_fleet_loadgen(
-            detector,
+        report = asyncio.run(run_loadgen(
+            FleetSupervisor(detector, FleetConfig(
+                shards=shards,
+                queue_bound=QUEUE_BOUND,
+                policy="block",
+            )),
             payloads,
-            shards=shards,
-            queue_bound=QUEUE_BOUND,
-            policy="block",
             connections=CONNECTIONS,
             window=WINDOW,
             slo_ms=SLO_MS,
@@ -78,12 +84,13 @@ def test_serve_fleet_scaling(record, emit):
 
     # Overload: offer 2x single-shard capacity to a 2-shard fleet with
     # tight per-shard queues; it must shed, not collapse.
-    pressure = asyncio.run(run_fleet_loadgen(
-        detector,
+    pressure = asyncio.run(run_loadgen(
+        FleetSupervisor(detector, FleetConfig(
+            shards=2,
+            queue_bound=PRESSURE_QUEUE_BOUND,
+            policy="shed",
+        )),
         payloads,
-        shards=2,
-        queue_bound=PRESSURE_QUEUE_BOUND,
-        policy="shed",
         connections=CONNECTIONS,
         rate=2.0 * c1,
         slo_ms=SLO_MS,

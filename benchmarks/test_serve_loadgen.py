@@ -19,7 +19,13 @@ from repro.bench import BenchResult, corpus_digest
 from repro.core import PipelineConfig, PSigenePipeline
 from repro.ids import PSigeneDetector
 from repro.ids.rulesets import build_modsec_ruleset
-from repro.serve import SignatureStore, build_load_trace, run_loadgen
+from repro.serve import (
+    DetectionGateway,
+    GatewayConfig,
+    SignatureStore,
+    build_load_trace,
+    run_loadgen,
+)
 
 QUEUE_BOUNDS = (8, 256)
 CONNECTIONS = 16
@@ -62,10 +68,11 @@ def test_serve_loadgen(detectors, record, emit):
     for detector in detectors:
         for bound in QUEUE_BOUNDS:
             report = asyncio.run(run_loadgen(
-                SignatureStore(detector),
+                DetectionGateway(SignatureStore(detector), GatewayConfig(
+                    queue_bound=bound,
+                    policy="shed",
+                )),
                 payloads,
-                queue_bound=bound,
-                policy="shed",
                 connections=CONNECTIONS,
                 window=WINDOW,
             ))

@@ -203,7 +203,7 @@ async def shadow_with_fleet(
             (shed or error under the sized queue bound — a serving
             defect, not a gate signal).
     """
-    from repro.conformance.verdict import ConformanceError
+    from repro.conformance.verdict import verdicts_from_responses
     from repro.serve.loadgen import replay
 
     payloads = list(attacks) + list(benign)
@@ -222,18 +222,7 @@ async def shadow_with_fleet(
     responses, _latencies, _duration = await replay(
         host, port, payloads, connections=connections, window=window
     )
-    live: list[Verdict] = []
-    for index, response in enumerate(responses):
-        if response is None or response.get("shed") or "error" in response:
-            raise ConformanceError(
-                f"fleet gave no verdict for mirrored payload {index}: "
-                f"{response!r}"
-            )
-        live.append(Verdict(
-            alert=bool(response.get("alert")),
-            score=float(response.get("score", 0.0)),
-            fired=tuple(int(s) for s in response.get("matched", [])),
-        ))
+    live = verdicts_from_responses(responses, "fleet")
     divergences = diff_verdicts(
         "incumbent-prestage", baseline, "fleet-live", live, payloads
     )

@@ -44,6 +44,7 @@ from repro.conformance.verdict import (
     Divergence,
     Verdict,
     diff_verdicts,
+    verdicts_from_responses,
 )
 
 __all__ = [
@@ -76,5 +77,6 @@ __all__ = [
     "read_golden",
     "serial_verdicts",
     "train_default_detector",
+    "verdicts_from_responses",
     "write_golden",
 ]

@@ -19,10 +19,11 @@ from __future__ import annotations
 import asyncio
 import pickle
 
-from repro.conformance.verdict import ConformanceError, Verdict
+from repro.conformance.verdict import Verdict, verdicts_from_responses
 from repro.core.signature import SignatureSet
 from repro.http.request import HttpRequest
 from repro.http.traffic import Trace
+from repro.surfaces import LEGACY_SURFACES
 
 __all__ = [
     "BatchPath",
@@ -242,6 +243,9 @@ class GatewayPath(DetectorPath):
     """
 
     name = "gateway"
+    #: ``None`` replays payload lines; a selection replays each payload
+    #: as a query-only request in a ``REPRO-FRAME/2`` frame.
+    surfaces: tuple | None = None
 
     def __init__(
         self,
@@ -258,6 +262,10 @@ class GatewayPath(DetectorPath):
         from repro.serve.loadgen import replay
         from repro.serve.store import SignatureStore
 
+        traffic = payloads if self.surfaces is None else [
+            HttpRequest(query=p) for p in payloads
+        ]
+
         async def _roundtrip() -> list[dict | None]:
             gateway = DetectionGateway(
                 SignatureStore(detector),
@@ -269,29 +277,18 @@ class GatewayPath(DetectorPath):
             host, port = await gateway.start()
             try:
                 responses, _latencies, _duration = await replay(
-                    host, port, payloads,
+                    host, port, traffic,
+                    surfaces=self.surfaces,
                     connections=self.connections, window=self.window,
                 )
             finally:
                 await gateway.stop()
             return responses
 
-        responses = asyncio.run(_roundtrip())
-        verdicts: list[Verdict] = []
-        for index, response in enumerate(responses):
-            if response is None or response.get("shed") or (
-                "error" in response
-            ):
-                raise ConformanceError(
-                    f"gateway gave no verdict for payload {index}: "
-                    f"{response!r}"
-                )
-            verdicts.append(Verdict(
-                alert=bool(response.get("alert")),
-                score=float(response.get("score", 0.0)),
-                fired=tuple(int(s) for s in response.get("matched", [])),
-            ))
-        return verdicts
+        return verdicts_from_responses(
+            asyncio.run(_roundtrip()), self.name,
+            framed=self.surfaces is not None,
+        )
 
 
 class SurfacesLegacyParityPath(DetectorPath):
@@ -310,7 +307,7 @@ class SurfacesLegacyParityPath(DetectorPath):
 
     def run(self, detector, payloads: list[str]) -> list[Verdict]:
         """One legacy-selection ``score_request`` per payload."""
-        from repro.surfaces import LEGACY_SURFACES, score_request
+        from repro.surfaces import score_request
 
         return [
             Verdict.from_detection(
@@ -322,7 +319,7 @@ class SurfacesLegacyParityPath(DetectorPath):
         ]
 
 
-class GatewayFramedPath(DetectorPath):
+class GatewayFramedPath(GatewayPath):
     """A live gateway round-trip in framed full-request mode (wire v2).
 
     Each payload travels as a whole :class:`HttpRequest` inside a
@@ -334,65 +331,7 @@ class GatewayFramedPath(DetectorPath):
     """
 
     name = "gateway-framed"
-
-    def __init__(
-        self,
-        *,
-        connections: int = 2,
-        window: int = 32,
-    ) -> None:
-        self.connections = connections
-        self.window = window
-
-    def run(self, detector, payloads: list[str]) -> list[Verdict]:
-        """Replay framed requests against a live gateway and decode."""
-        from repro.serve.gateway import DetectionGateway, GatewayConfig
-        from repro.serve.loadgen import replay_framed
-        from repro.serve.store import SignatureStore
-        from repro.surfaces import LEGACY_SURFACES
-
-        requests = [HttpRequest(query=p) for p in payloads]
-
-        async def _roundtrip() -> list[dict | None]:
-            gateway = DetectionGateway(
-                SignatureStore(detector),
-                GatewayConfig(
-                    queue_bound=max(64, len(payloads)),
-                    policy="block",
-                ),
-            )
-            host, port = await gateway.start()
-            try:
-                responses, _latencies, _duration = await replay_framed(
-                    host, port, requests,
-                    surfaces=LEGACY_SURFACES,
-                    connections=self.connections, window=self.window,
-                )
-            finally:
-                await gateway.stop()
-            return responses
-
-        responses = asyncio.run(_roundtrip())
-        verdicts: list[Verdict] = []
-        for index, response in enumerate(responses):
-            if response is None or response.get("shed") or (
-                "error" in response
-            ):
-                raise ConformanceError(
-                    f"framed gateway gave no verdict for payload "
-                    f"{index}: {response!r}"
-                )
-            if "surfaces" not in response or "verdicts" not in response:
-                raise ConformanceError(
-                    f"framed response {index} lacks surface attribution: "
-                    f"{response!r}"
-                )
-            verdicts.append(Verdict(
-                alert=bool(response.get("alert")),
-                score=float(response.get("score", 0.0)),
-                fired=tuple(int(s) for s in response.get("matched", [])),
-            ))
-        return verdicts
+    surfaces = LEGACY_SURFACES
 
 
 class ShardedGatewayPath(DetectorPath):
@@ -478,22 +417,7 @@ class ShardedGatewayPath(DetectorPath):
                 await supervisor.stop()
             return responses
 
-        responses = asyncio.run(_roundtrip())
-        verdicts: list[Verdict] = []
-        for index, response in enumerate(responses):
-            if response is None or response.get("shed") or (
-                "error" in response
-            ):
-                raise ConformanceError(
-                    f"fleet gave no verdict for payload {index}: "
-                    f"{response!r}"
-                )
-            verdicts.append(Verdict(
-                alert=bool(response.get("alert")),
-                score=float(response.get("score", 0.0)),
-                fired=tuple(int(s) for s in response.get("matched", [])),
-            ))
-        return verdicts
+        return verdicts_from_responses(asyncio.run(_roundtrip()), self.name)
 
 
 def default_paths(

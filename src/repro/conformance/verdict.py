@@ -23,6 +23,7 @@ __all__ = [
     "Divergence",
     "Verdict",
     "diff_verdicts",
+    "verdicts_from_responses",
 ]
 
 #: Payload text beyond this many characters is elided in reports.
@@ -70,6 +71,40 @@ class Verdict:
             "score": self.score,
             "fired": list(self.fired),
         }
+
+
+def verdicts_from_responses(
+    responses: list[dict | None], where: str, *, framed: bool = False
+) -> list[Verdict]:
+    """Decode live data-plane responses into verdicts.
+
+    Callers size the serving side so nothing sheds; a missing, shed or
+    error response is therefore a failure of the path named ``where``,
+    not a divergence.  ``framed`` responses must also carry surface
+    attribution.
+
+    Raises:
+        ConformanceError: a response carried no verdict (or, framed,
+            no attribution); the message names the payload index.
+    """
+    verdicts: list[Verdict] = []
+    for index, response in enumerate(responses):
+        if response is None or response.get("shed") or "error" in response:
+            raise ConformanceError(
+                f"{where} gave no verdict for payload {index}: "
+                f"{response!r}"
+            )
+        if framed and not {"surfaces", "verdicts"} <= response.keys():
+            raise ConformanceError(
+                f"{where} response {index} lacks surface attribution: "
+                f"{response!r}"
+            )
+        verdicts.append(Verdict(
+            alert=bool(response.get("alert")),
+            score=float(response.get("score", 0.0)),
+            fired=tuple(int(s) for s in response.get("matched", [])),
+        ))
+    return verdicts
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ block/shed/cost backpressure, and live telemetry.  ``repro serve
 --shards N`` scales the same data plane across N worker processes on
 one shared port under a supervising control plane
 (:mod:`repro.serve.supervisor`) with atomic two-phase fleet reloads.
-``repro loadgen`` replays scanner/benign traffic against either —
-closed-loop for capacity, open-loop at a fixed offered rate for
-overload behaviour — and checks alert parity with the offline engine.
+``repro loadgen`` replays scanner/benign traffic against either, on
+either wire mode — closed-loop for capacity, open-loop at a fixed
+offered rate for overload behaviour — and checks alert parity with the
+offline engine.
 See DESIGN.md §11 and §15.
 """
 
@@ -30,14 +31,10 @@ from repro.serve.fleet import (
 )
 from repro.serve.gateway import DetectionGateway, GatewayConfig
 from repro.serve.loadgen import (
-    FleetLoadReport,
     LoadReport,
     build_load_trace,
-    format_fleet_report,
     format_report,
-    open_loop_replay,
     replay,
-    run_fleet_loadgen,
     run_loadgen,
 )
 from repro.serve.store import SignatureStore, StoreError, StoreVersion
@@ -53,7 +50,6 @@ __all__ = [
     "DetectionGateway",
     "FleetConfig",
     "FleetError",
-    "FleetLoadReport",
     "FleetSupervisor",
     "GatewayConfig",
     "LoadReport",
@@ -66,12 +62,9 @@ __all__ = [
     "StoreVersion",
     "Telemetry",
     "build_load_trace",
-    "format_fleet_report",
     "format_report",
     "merge_raw_states",
-    "open_loop_replay",
     "replay",
     "reuseport_available",
-    "run_fleet_loadgen",
     "run_loadgen",
 ]

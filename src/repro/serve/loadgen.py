@@ -5,8 +5,13 @@ under a production request stream (Section III-C).  The harness builds a
 deterministic mixed trace (SQLmap and Vega scans of the vulnerable
 webapp interleaved with benign portal traffic), replays it over many
 concurrent pipelined connections, and reports sustained throughput,
-shed rate, client-observed latency percentiles, and — via
-:mod:`repro.eval.serving` — alert parity with the offline engine.
+shed rate, serviced-request latency percentiles, SLO attainment, and —
+via :mod:`repro.eval.serving` — alert parity with the offline engine.
+
+One replay covers every combination of three independent choices: the
+wire mode (``surfaces``), the arrival process (``rate``), and the
+target (an unstarted gateway or fleet supervisor handed to
+:func:`run_loadgen`, whose config supplies queue bound and policy).
 """
 
 from __future__ import annotations
@@ -24,22 +29,17 @@ from repro.eval.serving import (
 )
 from repro.http.request import HttpRequest
 from repro.http.traffic import Trace
-from repro.serve.gateway import DetectionGateway, GatewayConfig
+from repro.serve.admission import BackpressurePolicy
+from repro.serve.gateway import DetectionGateway
 from repro.serve.protocol import decode_response, encode_framed_request
-from repro.serve.store import SignatureStore
-from repro.surfaces import InjectionSurface, LEGACY_SURFACES, score_request
+from repro.serve.supervisor import FleetSupervisor
+from repro.surfaces import InjectionSurface, score_request
 
 __all__ = [
-    "FleetLoadReport",
     "LoadReport",
     "build_load_trace",
-    "format_fleet_report",
     "format_report",
-    "open_loop_replay",
     "replay",
-    "replay_framed",
-    "run_fleet_loadgen",
-    "run_framed_loadgen",
     "run_loadgen",
 ]
 
@@ -77,424 +77,26 @@ class LoadReport:
 
     Attributes:
         detector: detector name on the serving side.
-        queue_bound: admission queue capacity during the run.
-        policy: backpressure policy during the run.
-        requests: payloads offered.
-        completed: payloads answered with a verdict.
-        shed: payloads refused by admission control.
-        errors: undecodable or error responses.
-        alerts: verdicts that alerted.
-        duration_s: wall-clock of the replay.
-        throughput_rps: completed-plus-shed responses per second.
-        serviced_rps: completed (verdict-carrying) responses per second —
-            the honest "sustained" number when shedding is active.
-        latency_ms: client-observed percentiles (p50/p95/p99/mean/max).
-        parity: diff against the offline engine (None when skipped).
-    """
-
-    detector: str
-    queue_bound: int
-    policy: str
-    requests: int
-    completed: int
-    shed: int
-    errors: int
-    alerts: int
-    duration_s: float
-    throughput_rps: float
-    latency_ms: dict[str, float] = field(default_factory=dict)
-    parity: ParityReport | None = None
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of offered payloads refused."""
-        return self.shed / self.requests if self.requests else 0.0
-
-    @property
-    def serviced_rps(self) -> float:
-        """Verdict-carrying responses per second."""
-        return self.completed / self.duration_s if self.duration_s else 0.0
-
-
-async def replay(
-    host: str,
-    port: int,
-    payloads: list[str],
-    *,
-    connections: int = 8,
-    window: int = 32,
-) -> tuple[list[dict | None], np.ndarray, float]:
-    """Replay ``payloads`` and return (responses, latencies_s, duration_s).
-
-    Payloads are dealt round-robin over ``connections`` pipelined
-    connections, each keeping up to ``window`` requests in flight.
-    ``responses[i]`` stays None if the connection died before answering.
-    """
-    wires = [
-        payload.encode("utf-8", errors="replace") + b"\n"
-        for payload in payloads
-    ]
-    return await _replay_wires(
-        host, port, wires, connections=connections, window=window
-    )
-
-
-async def replay_framed(
-    host: str,
-    port: int,
-    requests: list[HttpRequest],
-    *,
-    surfaces: tuple[InjectionSurface, ...] = LEGACY_SURFACES,
-    connections: int = 8,
-    window: int = 32,
-) -> tuple[list[dict | None], np.ndarray, float]:
-    """Framed-mode :func:`replay`: whole requests over wire format v2.
-
-    Each request ships as one ``REPRO-FRAME/2`` message carrying the
-    surface selection; responses decode to surface-attributed verdict
-    objects, shaped like :func:`replay`'s return.
-    """
-    wires = [
-        encode_framed_request(request, surfaces) for request in requests
-    ]
-    return await _replay_wires(
-        host, port, wires, connections=connections, window=window
-    )
-
-
-async def _replay_wires(
-    host: str,
-    port: int,
-    wires: list[bytes],
-    *,
-    connections: int,
-    window: int,
-) -> tuple[list[dict | None], np.ndarray, float]:
-    responses: list[dict | None] = [None] * len(wires)
-    latencies = np.zeros(len(wires), dtype=np.float64)
-    shards: list[list[tuple[int, bytes]]] = [
-        [] for _ in range(max(1, connections))
-    ]
-    for index, wire in enumerate(wires):
-        shards[index % len(shards)].append((index, wire))
-    started = time.perf_counter()
-    await asyncio.gather(*(
-        _drive_connection(host, port, shard, responses, latencies, window)
-        for shard in shards if shard
-    ))
-    return responses, latencies, time.perf_counter() - started
-
-
-async def _drive_connection(
-    host: str,
-    port: int,
-    jobs: list[tuple[int, bytes]],
-    responses: list[dict | None],
-    latencies: np.ndarray,
-    window: int,
-) -> None:
-    reader, writer = await asyncio.open_connection(host, port)
-    inflight = asyncio.Semaphore(max(1, window))
-    sent_at: dict[int, float] = {}
-
-    async def collect() -> None:
-        try:
-            for index, _ in jobs:
-                line = await reader.readline()
-                if not line:
-                    return
-                latencies[index] = time.perf_counter() - sent_at[index]
-                try:
-                    responses[index] = decode_response(line)
-                except ValueError:
-                    responses[index] = {"error": "undecodable response"}
-                inflight.release()
-        finally:
-            # Unblock the sender even if the server hung up early; its
-            # writes will then fail fast instead of deadlocking.
-            for _ in jobs:
-                inflight.release()
-
-    collector = asyncio.get_running_loop().create_task(collect())
-    try:
-        for index, wire in jobs:
-            await inflight.acquire()
-            if collector.done():
-                break
-            sent_at[index] = time.perf_counter()
-            writer.write(wire)
-            await writer.drain()
-        await collector
-    except (ConnectionResetError, BrokenPipeError):
-        pass
-    finally:
-        collector.cancel()
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-
-def _percentiles_ms(latencies: np.ndarray) -> dict[str, float]:
-    answered = latencies[latencies > 0]
-    if answered.size == 0:
-        return {k: 0.0 for k in
-                ("p50_ms", "p95_ms", "p99_ms", "mean_ms", "max_ms")}
-    return {
-        "p50_ms": float(np.percentile(answered, 50) * 1e3),
-        "p95_ms": float(np.percentile(answered, 95) * 1e3),
-        "p99_ms": float(np.percentile(answered, 99) * 1e3),
-        "mean_ms": float(answered.mean() * 1e3),
-        "max_ms": float(answered.max() * 1e3),
-    }
-
-
-async def run_loadgen(
-    store: SignatureStore,
-    payloads: list[str],
-    *,
-    queue_bound: int = 1024,
-    policy: str = "block",
-    connections: int = 8,
-    window: int = 32,
-    check_parity: bool = True,
-) -> LoadReport:
-    """Spawn an in-process gateway, replay, and summarize.
-
-    With ``check_parity`` the serviced responses are diffed against the
-    offline detector (shed responses are excluded — there is nothing to
-    compare).
-    """
-    gateway = DetectionGateway(store, GatewayConfig(
-        queue_bound=queue_bound,
-        policy=policy,
-    ))
-    host, port = await gateway.start()
-    try:
-        responses, latencies, duration = await replay(
-            host, port, payloads,
-            connections=connections, window=window,
-        )
-    finally:
-        await gateway.stop()
-    parity = None
-    if check_parity:
-        parity = parity_of_responses(
-            offline_detections(store.current().detector, payloads),
-            responses,
-        )
-    shed = sum(1 for r in responses if r and r.get("shed"))
-    errors = sum(
-        1 for r in responses
-        if r is not None and "error" in r and not r.get("shed")
-    )
-    completed = sum(
-        1 for r in responses
-        if r is not None and not r.get("shed") and "error" not in r
-    )
-    answered = sum(1 for r in responses if r is not None)
-    return LoadReport(
-        detector=store.current().detector.name,
-        queue_bound=queue_bound,
-        policy=policy,
-        requests=len(payloads),
-        completed=completed,
-        shed=shed,
-        errors=errors,
-        alerts=sum(
-            1 for r in responses if r is not None and r.get("alert")
-        ),
-        duration_s=duration,
-        throughput_rps=answered / duration if duration > 0 else 0.0,
-        latency_ms=_percentiles_ms(latencies),
-        parity=parity,
-    )
-
-
-async def run_framed_loadgen(
-    store: SignatureStore,
-    requests: list[HttpRequest],
-    *,
-    surfaces: tuple[InjectionSurface, ...] = LEGACY_SURFACES,
-    queue_bound: int = 1024,
-    policy: str = "block",
-    connections: int = 8,
-    window: int = 32,
-    check_parity: bool = True,
-) -> LoadReport:
-    """Framed-mode :func:`run_loadgen`: replay whole requests.
-
-    Parity is judged against the offline surface-aware fold
-    (:func:`repro.surfaces.score_request` with the same selection), so a
-    wire/extraction divergence between gateway and library fails the
-    check even when both "look alerted".
-    """
-    gateway = DetectionGateway(store, GatewayConfig(
-        queue_bound=queue_bound,
-        policy=policy,
-    ))
-    host, port = await gateway.start()
-    try:
-        responses, latencies, duration = await replay_framed(
-            host, port, requests,
-            surfaces=surfaces, connections=connections, window=window,
-        )
-    finally:
-        await gateway.stop()
-    parity = None
-    if check_parity:
-        detector = store.current().detector
-        parity = parity_of_responses(
-            [
-                score_request(detector.inspect, request, surfaces)
-                for request in requests
-            ],
-            responses,
-        )
-    shed = sum(1 for r in responses if r and r.get("shed"))
-    errors = sum(
-        1 for r in responses
-        if r is not None and "error" in r and not r.get("shed")
-    )
-    completed = sum(
-        1 for r in responses
-        if r is not None and not r.get("shed") and "error" not in r
-    )
-    answered = sum(1 for r in responses if r is not None)
-    return LoadReport(
-        detector=store.current().detector.name,
-        queue_bound=queue_bound,
-        policy=policy,
-        requests=len(requests),
-        completed=completed,
-        shed=shed,
-        errors=errors,
-        alerts=sum(
-            1 for r in responses if r is not None and r.get("alert")
-        ),
-        duration_s=duration,
-        throughput_rps=answered / duration if duration > 0 else 0.0,
-        latency_ms=_percentiles_ms(latencies),
-        parity=parity,
-    )
-
-
-async def open_loop_replay(
-    host: str,
-    port: int,
-    payloads: list[str],
-    *,
-    rate: float,
-    connections: int = 8,
-) -> tuple[list[dict | None], np.ndarray, float]:
-    """Offer ``payloads`` at a fixed ``rate`` regardless of responses.
-
-    The closed-loop :func:`replay` slows down when the server does —
-    it can never overload anything, so it measures *capacity*.  The
-    open-loop generator models independent clients: payload ``i`` is
-    sent at ``t0 + i/rate`` (dealt round-robin over ``connections``)
-    whether or not earlier responses arrived, which is how real traffic
-    behaves and the only way to observe shedding and queueing delay at
-    offered loads above capacity.
-
-    Each latency is timed from the request's *due* time
-    (``t0 + i/rate``), not from when it was actually sent: a stall in
-    the generator or the socket delays every request due during it, and
-    those delays belong in the percentiles (timing from the send would
-    hide them — coordinated omission).
-
-    Response lines are stored raw and decoded after the run so client
-    CPU spent on JSON never distorts the offered schedule.
-
-    Returns ``(responses, latencies_s, duration_s)`` shaped exactly
-    like :func:`replay`.
-    """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    responses: list[dict | None] = [None] * len(payloads)
-    latencies = np.zeros(len(payloads), dtype=np.float64)
-    lanes: list[list[int]] = [[] for _ in range(max(1, connections))]
-    for index in range(len(payloads)):
-        lanes[index % len(lanes)].append(index)
-    raw: list[bytes | None] = [None] * len(payloads)
-    started = time.perf_counter()
-    finished_at = started
-
-    async def _drive(lane: list[int]) -> None:
-        nonlocal finished_at
-        reader, writer = await asyncio.open_connection(host, port)
-
-        async def collect() -> None:
-            nonlocal finished_at
-            for index in lane:
-                line = await reader.readline()
-                if not line:
-                    return
-                now = time.perf_counter()
-                latencies[index] = now - (started + index / rate)
-                raw[index] = line
-                if now > finished_at:
-                    finished_at = now
-
-        collector = asyncio.get_running_loop().create_task(collect())
-        try:
-            for index in lane:
-                delay = started + index / rate - time.perf_counter()
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                writer.write(
-                    payloads[index].encode("utf-8", errors="replace")
-                    + b"\n"
-                )
-                await writer.drain()
-            await collector
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            collector.cancel()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    await asyncio.gather(*(_drive(lane) for lane in lanes if lane))
-    for index, line in enumerate(raw):
-        if line is None:
-            continue
-        try:
-            responses[index] = decode_response(line)
-        except ValueError:
-            responses[index] = {"error": "undecodable response"}
-    return responses, latencies, max(finished_at - started, 1e-9)
-
-
-@dataclass
-class FleetLoadReport:
-    """One replay against a sharded fleet, with per-shard attribution.
-
-    Attributes:
-        detector: detector name on the serving side.
-        shards: shard process count.
-        queue_bound: per-shard admission queue capacity.
-        policy: per-shard backpressure policy.
+        shards: shard process count (1 for a single gateway).
+        queue_bound: admission queue capacity (per shard).
+        policy: backpressure policy (per shard).
         offered_rps: open-loop offered rate (None for closed-loop runs).
         requests: payloads offered.
         completed: payloads answered with a verdict.
         shed: payloads refused by admission control.
         errors: undecodable or error responses.
         alerts: verdicts that alerted.
-        duration_s: wall-clock of the replay.
+        duration_s: from the start of the replay to the last answer.
         throughput_rps: answered (verdict or shed) responses per second.
         slo_ms: the latency objective judged against.
         slo_attainment: fraction of *offered* payloads answered with a
             verdict within ``slo_ms`` — a shed or missing response is an
             SLO miss, so attainment cannot be gamed by shedding.
-        latency_ms: client-observed percentiles over serviced requests.
+        latency_ms: client-observed p50/p95/p99/mean/max over serviced
+            requests only (instant shed refusals would pull them down).
         per_shard: ``{shard_id: {"inspected": n, "shed": n, ...}}``
-            pulled from the supervisor after the replay — the kernel's
-            connection balancing made visible.
+            from a fleet's supervisor after the replay; empty for a
+            single gateway.
         parity: diff against the offline engine (None when skipped).
     """
 
@@ -527,111 +129,241 @@ class FleetLoadReport:
         return self.completed / self.duration_s if self.duration_s else 0.0
 
 
+def _wires(
+    traffic: list[str] | list[HttpRequest],
+    surfaces: tuple[InjectionSurface, ...] | None,
+) -> list[bytes]:
+    """Encode ``traffic`` for the wire mode ``surfaces`` selects."""
+    if surfaces is None:
+        return [p.encode("utf-8", "replace") + b"\n" for p in traffic]
+    return [encode_framed_request(request, surfaces) for request in traffic]
+
+
+def _offline(
+    detector,
+    traffic: list[str] | list[HttpRequest],
+    surfaces: tuple[InjectionSurface, ...] | None,
+) -> list:
+    """The parity reference for the wire mode ``surfaces`` selects: the
+    surface-aware fold for framed traffic, so a wire/extraction split
+    between gateway and library fails even when both "look alerted"."""
+    if surfaces is None:
+        return offline_detections(detector, traffic)
+    return [
+        score_request(detector.inspect, request, surfaces)
+        for request in traffic
+    ]
+
+
+async def replay(
+    host: str,
+    port: int,
+    traffic: list[str] | list[HttpRequest],
+    *,
+    surfaces: tuple[InjectionSurface, ...] | None = None,
+    connections: int = 8,
+    window: int = 32,
+    rate: float | None = None,
+) -> tuple[list[dict | None], np.ndarray, float]:
+    """Replay ``traffic`` and return (responses, latencies_s, duration_s).
+
+    Requests are dealt round-robin over ``connections`` pipelined
+    connections: payload strings on the line protocol, or — with
+    ``surfaces`` — whole requests as ``REPRO-FRAME/2`` frames.
+
+    Closed loop (``rate is None``) keeps ``window`` requests in flight
+    per connection and so measures capacity; latency runs from each
+    send.  Open loop sends request ``i`` at ``t0 + i/rate`` whatever the
+    server does, and times it from that *due* time: a stall in the
+    generator delays every request due during it, and timing from the
+    send would hide those delays (coordinated omission).
+
+    Lines are decoded after the run so client JSON work never distorts
+    the send schedule.  ``responses[i]`` stays None if the connection
+    died before answering.
+    """
+    if rate is not None and rate <= 0:
+        raise ValueError(f"rate must be positive, got {rate}")
+    wires = _wires(traffic, surfaces)
+    raw: list[bytes | None] = [None] * len(wires)
+    latencies = np.zeros(len(wires), dtype=np.float64)
+    lanes = max(1, connections)
+    started = time.perf_counter()
+    finished_at = started
+
+    async def drive(lane: range) -> None:
+        nonlocal finished_at
+        reader, writer = await asyncio.open_connection(host, port)
+        inflight = asyncio.Semaphore(max(1, window))
+        # Where each request's latency clock starts: its send (closed
+        # loop) or its due time (open loop).
+        clock: dict[int, float] = {}
+
+        async def collect() -> None:
+            nonlocal finished_at
+            try:
+                for index in lane:
+                    line = await reader.readline()
+                    if not line:
+                        return
+                    finished_at = time.perf_counter()
+                    latencies[index] = finished_at - clock[index]
+                    raw[index] = line
+                    inflight.release()
+            finally:
+                # Unblock the sender even if the server hung up early;
+                # its writes will then fail fast instead of deadlocking.
+                for _ in lane:
+                    inflight.release()
+
+        collector = asyncio.get_running_loop().create_task(collect())
+        try:
+            for index in lane:
+                if rate is None:
+                    await inflight.acquire()
+                    clock[index] = time.perf_counter()
+                else:
+                    clock[index] = started + index / rate
+                    delay = clock[index] - time.perf_counter()
+                    if delay > 0:
+                        await asyncio.sleep(delay)
+                if collector.done():
+                    break
+                writer.write(wires[index])
+                await writer.drain()
+            await collector
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        finally:
+            collector.cancel()
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+
+    await asyncio.gather(*(
+        drive(range(first, len(wires), lanes))
+        for first in range(min(lanes, len(wires)))
+    ))
+    responses: list[dict | None] = [None] * len(raw)
+    for index, line in enumerate(raw):
+        if line is None:
+            continue
+        try:
+            responses[index] = decode_response(line)
+        except ValueError:
+            responses[index] = {"error": "undecodable response"}
+    return responses, latencies, max(finished_at - started, 1e-9)
+
+
+def _serviced(responses: list[dict | None]) -> np.ndarray:
+    """Mask of responses carrying a verdict: not shed, error or missing."""
+    return np.array([
+        r is not None and not r.get("shed") and "error" not in r
+        for r in responses
+    ], dtype=bool)
+
+
+def _percentiles_ms(latencies: np.ndarray) -> dict[str, float]:
+    ms = latencies * 1e3 if latencies.size else np.zeros(1)
+    p50, p95, p99 = np.percentile(ms, [50, 95, 99])
+    return {
+        "p50_ms": float(p50), "p95_ms": float(p95), "p99_ms": float(p99),
+        "mean_ms": float(ms.mean()), "max_ms": float(ms.max()),
+    }
+
+
 def _slo_attainment(
-    responses: list[dict | None],
-    latencies: np.ndarray,
-    slo_ms: float,
+    responses: list[dict | None], latencies: np.ndarray, slo_ms: float
 ) -> float:
     """Fraction of offered payloads serviced within the objective."""
     if not responses:
         return 0.0
-    within = 0
-    for index, response in enumerate(responses):
-        if response is None or response.get("shed") or "error" in response:
-            continue
-        if latencies[index] * 1e3 <= slo_ms:
-            within += 1
-    return within / len(responses)
+    serviced = latencies[_serviced(responses)]
+    return int(np.count_nonzero(serviced * 1e3 <= slo_ms)) / len(responses)
 
 
-async def run_fleet_loadgen(
-    detector,
-    payloads: list[str],
+def _summarize(
+    responses: list[dict | None], latencies: np.ndarray, duration_s: float,
     *,
-    shards: int = 2,
-    queue_bound: int = 1024,
-    policy: str = "block",
+    slo_ms: float,
+    **server,
+) -> LoadReport:
+    """Count, time and judge one replay's responses; ``server`` carries
+    the :class:`LoadReport` fields a replay cannot observe."""
+    serviced = _serviced(responses)
+    completed = int(serviced.sum())
+    shed = sum(1 for r in responses if r is not None and r.get("shed"))
+    answered = sum(1 for r in responses if r is not None)
+    return LoadReport(
+        requests=len(responses),
+        completed=completed,
+        shed=shed,
+        errors=answered - shed - completed,
+        alerts=sum(1 for r in responses if r and r.get("alert")),
+        duration_s=duration_s,
+        throughput_rps=answered / duration_s if duration_s > 0 else 0.0,
+        slo_ms=slo_ms,
+        slo_attainment=_slo_attainment(responses, latencies, slo_ms),
+        latency_ms=_percentiles_ms(latencies[serviced]),
+        **server,
+    )
+
+
+async def run_loadgen(
+    server: DetectionGateway | FleetSupervisor,
+    traffic: list[str] | list[HttpRequest],
+    *,
+    surfaces: tuple[InjectionSurface, ...] | None = None,
     connections: int = 8,
     window: int = 32,
     rate: float | None = None,
     slo_ms: float = 50.0,
     check_parity: bool = True,
-) -> FleetLoadReport:
-    """Spawn a fleet, replay (closed- or open-loop), and summarize.
+) -> LoadReport:
+    """Start ``server``, :func:`replay` ``traffic`` at it, and summarize.
 
-    With ``rate`` set the open-loop generator offers that many requests
-    per second fleet-wide; without it the closed-loop :func:`replay`
-    measures capacity.  Per-shard counters come from the supervisor's
-    merged telemetry, pulled *before* shutdown.
+    ``server`` is an unstarted gateway or fleet supervisor, stopped
+    before this returns; a fleet's per-shard counters are pulled before
+    shutdown.  With ``check_parity`` serviced responses are diffed
+    against the offline reference for the wire mode.
     """
-    from repro.serve.supervisor import FleetConfig, FleetSupervisor
-
-    supervisor = FleetSupervisor(detector, FleetConfig(
-        shards=shards,
-        queue_bound=queue_bound,
-        policy=policy,
-    ))
-    host, port = await supervisor.start()
+    detector = server.store.current().detector
+    fleet = isinstance(server, FleetSupervisor)
+    host, port = await server.start()
     try:
-        if rate is None:
-            responses, latencies, duration = await replay(
-                host, port, payloads,
-                connections=connections, window=window,
-            )
-        else:
-            responses, latencies, duration = await open_loop_replay(
-                host, port, payloads, rate=rate, connections=connections,
-            )
-        stats = await supervisor.stats()
+        responses, latencies, duration = await replay(
+            host, port, traffic,
+            surfaces=surfaces, connections=connections, window=window,
+            rate=rate,
+        )
+        shard_stats = (await server.stats())["shards"] if fleet else {}
     finally:
-        await supervisor.stop()
+        await server.stop()
     parity = None
     if check_parity:
         parity = parity_of_responses(
-            offline_detections(detector, payloads), responses,
+            _offline(detector, traffic, surfaces), responses,
         )
-    shed = sum(1 for r in responses if r and r.get("shed"))
-    errors = sum(
-        1 for r in responses
-        if r is not None and "error" in r and not r.get("shed")
-    )
-    completed = sum(
-        1 for r in responses
-        if r is not None and not r.get("shed") and "error" not in r
-    )
-    answered = sum(1 for r in responses if r is not None)
-    serviced_latencies = np.array([
-        latencies[i] for i, r in enumerate(responses)
-        if r is not None and not r.get("shed") and "error" not in r
-    ])
-    return FleetLoadReport(
-        detector=stats["store"]["detector"],
-        shards=shards,
-        queue_bound=queue_bound,
-        policy=policy,
+    return _summarize(
+        responses, latencies, duration,
+        detector=detector.name,
+        shards=server.config.shards if fleet else 1,
+        queue_bound=server.config.queue_bound,
+        policy=BackpressurePolicy(server.config.policy).value,
         offered_rps=rate,
-        requests=len(payloads),
-        completed=completed,
-        shed=shed,
-        errors=errors,
-        alerts=sum(
-            1 for r in responses if r is not None and r.get("alert")
-        ),
-        duration_s=duration,
-        throughput_rps=answered / duration if duration > 0 else 0.0,
         slo_ms=slo_ms,
-        slo_attainment=_slo_attainment(responses, latencies, slo_ms),
-        latency_ms=_percentiles_ms(serviced_latencies),
         per_shard={
             shard_id: dict(info["counters"])
-            for shard_id, info in stats["shards"].items()
+            for shard_id, info in shard_stats.items()
         },
         parity=parity,
     )
 
 
-def format_fleet_report(report: FleetLoadReport) -> str:
-    """Multi-line human-readable rendering of one fleet replay."""
+def format_report(report: LoadReport) -> str:
+    """Multi-line human-readable rendering of one replay."""
     offered = (
         f"offered={report.offered_rps:,.0f} req/s (open loop)"
         if report.offered_rps is not None
@@ -661,26 +393,6 @@ def format_fleet_report(report: FleetLoadReport) -> str:
             f"shed={counters.get('shed', 0)} "
             f"connections={counters.get('connections', 0)}"
         )
-    if report.parity is not None:
-        lines.append(f"  {report.parity.summary()}")
-    return "\n".join(lines)
-
-
-def format_report(report: LoadReport) -> str:
-    """Multi-line human-readable rendering of one replay."""
-    lines = [
-        f"detector={report.detector} queue={report.queue_bound} "
-        f"policy={report.policy}",
-        f"  requests={report.requests} completed={report.completed} "
-        f"shed={report.shed} ({report.shed_rate:.1%}) "
-        f"errors={report.errors} alerts={report.alerts}",
-        f"  duration={report.duration_s:.3f}s "
-        f"throughput={report.throughput_rps:,.0f} req/s "
-        f"(serviced {report.serviced_rps:,.0f}/s)",
-        "  latency p50={p50_ms:.3f}ms p95={p95_ms:.3f}ms "
-        "p99={p99_ms:.3f}ms mean={mean_ms:.3f}ms max={max_ms:.3f}ms"
-        .format(**report.latency_ms),
-    ]
     if report.parity is not None:
         lines.append(f"  {report.parity.summary()}")
     return "\n".join(lines)

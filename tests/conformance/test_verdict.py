@@ -5,10 +5,12 @@ import json
 import pytest
 
 from repro.conformance import (
+    ConformanceError,
     ConformanceReport,
     Divergence,
     Verdict,
     diff_verdicts,
+    verdicts_from_responses,
 )
 from repro.conformance.verdict import MAX_PAYLOAD_CHARS
 from repro.ids import DeterministicRuleSet, Rule
@@ -35,6 +37,31 @@ class TestVerdictNormalForm:
         assert json.loads(json.dumps(data)) == {
             "alert": True, "score": 0.75, "fired": [3, 9],
         }
+
+
+class TestVerdictsFromResponses:
+    OK = {"alert": True, "score": 0.75, "matched": [3, 1], "version": 1}
+
+    def test_decodes_the_normal_form(self):
+        assert verdicts_from_responses([self.OK], "gateway") == [
+            verdict(alert=True, score=0.75, fired=(3, 1))
+        ]
+
+    @pytest.mark.parametrize("bad", [
+        None, {"shed": True, "error": "queue full"}, {"error": "too long"},
+    ], ids=["missing", "shed", "error"])
+    def test_no_verdict_names_path_and_index(self, bad):
+        with pytest.raises(ConformanceError, match=r"^fleet gave no verdict "
+                           r"for payload 1: "):
+            verdicts_from_responses([self.OK, bad], "fleet")
+
+    def test_framed_requires_surface_attribution(self):
+        with pytest.raises(ConformanceError, match="0 lacks surface attri"):
+            verdicts_from_responses([self.OK], "gateway-framed", framed=True)
+        attributed = dict(self.OK, surfaces=["query"], verdicts=[])
+        assert verdicts_from_responses(
+            [attributed], "gateway-framed", framed=True
+        )[0].fired == (3, 1)
 
 
 class TestDiffVerdicts:

@@ -16,19 +16,13 @@ import pytest
 
 from repro.core import SignatureSet, signature_set_to_json
 from repro.eval.serving import offline_detections, parity_of_responses
-from repro.http import HttpRequest, Trace
-from repro.ids import (
-    DeterministicRuleSet,
-    PSigeneDetector,
-    Rule,
-    SignatureEngine,
-)
+from repro.http import HttpRequest
+from repro.ids import DeterministicRuleSet, PSigeneDetector, Rule
 from repro.serve import (
     DetectionGateway,
     GatewayConfig,
     SignatureStore,
     build_load_trace,
-    run_loadgen,
 )
 from repro.serve.gateway import _Outbox
 from repro.serve.protocol import (
@@ -335,34 +329,6 @@ class TestHotReload:
         )
         assert parity_of_responses(offline_full, first).ok
         assert parity_of_responses(offline_reduced, second).ok
-
-
-class TestLoadgenParity:
-    @pytest.mark.smoke
-    def test_gateway_matches_offline_engine(self, small_signatures):
-        """End-to-end: the loadgen replay agrees with SignatureEngine.run
-        on every alert flag, sid list, and score."""
-        detector = PSigeneDetector(small_signatures)
-        trace = build_load_trace(seed=9, n_benign=60, n_vulnerabilities=2)
-        payloads = trace.payloads()[:120]
-
-        report = asyncio.run(run_loadgen(
-            SignatureStore(detector),
-            payloads,
-            queue_bound=64,
-            policy="block",
-            connections=4,
-            window=8,
-        ))
-        assert report.parity is not None and report.parity.ok
-        assert report.shed == 0
-        assert report.completed == len(payloads)
-
-        engine_run = SignatureEngine(detector).run(Trace(
-            name="offline",
-            requests=[HttpRequest(query=p) for p in payloads],
-        ))
-        assert report.alerts == engine_run.alert_count
 
 
 class TestDrainOnShutdown:

@@ -164,6 +164,16 @@ class TestLoadgenCommand:
         assert "PARITY" in out
         assert "throughput" in out
 
+    def test_open_loop_rate_on_a_single_gateway(self, capsys):
+        code = main([
+            "loadgen", "--detector", "modsecurity",
+            "--requests", "40", "--rate", "4000",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "open loop" in out
+        assert re.search(r"^  slo<= 50ms attainment=", out, re.MULTILINE)
+
     def test_psigene_requires_signature_file(self):
         with pytest.raises(SystemExit):
             main(["loadgen", "--detector", "psigene", "--requests", "10"])
