@@ -12,6 +12,8 @@ ordering and the roughly-order-of-magnitude slowdown.
 from repro.bench import BenchResult
 from repro.eval import experiment4_performance, format_table
 
+MAX_US_BOUND = 7_700.0
+
 
 def test_experiment4(benchmark, bench_context, record, emit, context_corpus):
     rows = benchmark.pedantic(
@@ -63,9 +65,10 @@ def test_experiment4(benchmark, bench_context, record, emit, context_corpus):
     # The slowdown is in the "several-fold to order-of-magnitude" band.
     assert 1.5 < psigene["avg_us"] / modsec["avg_us"] < 100
     assert 1.5 < psigene["avg_us"] / bro["avg_us"] < 100
-    # Worst case stays in the paper's "not a bottleneck" regime (< 20 ms
-    # even on a shared CI machine).
-    assert psigene["max_us"] < 20_000
+    # Worst case stays in the paper's "not a bottleneck" regime.  The
+    # bound is scripts/ci_bench_guard.py's floor: twice the median of
+    # the committed value and five fresh runs on a 2-vCPU VM.
+    assert psigene["max_us"] <= MAX_US_BOUND
 
 
 def test_count_all_throughput(benchmark, bench_context):

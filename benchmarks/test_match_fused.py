@@ -19,6 +19,8 @@ from repro.bench import corpus_digest
 from repro.eval import format_table
 from repro.match import bench_fused_matching
 
+MIN_SPEEDUP = 4.4
+
 
 def measure_matching(context):
     """The measured configuration, shared with the CI guard's re-run:
@@ -63,5 +65,6 @@ def test_bench_fused_matching(benchmark, bench_context, record, emit):
     reloaded = json.loads(result.to_json())
     assert reloaded["bench"] == "matching"
     assert reloaded["metrics"]["speedup"] == round(result.speedup, 3)
-    # The ISSUE's bar: >= 3x on the serial matching path.
-    assert result.speedup >= 3.0
+    # scripts/ci_bench_guard.py's floor: half the median of the
+    # committed value and five fresh runs on a 2-vCPU VM.
+    assert result.speedup >= MIN_SPEEDUP

@@ -18,6 +18,11 @@ from repro.normalize import normalize
 
 PAYLOAD = "id=1%2527/**/UNION/**/SELECT/**/1,2,concat(database()),4--%20-"
 
+# scripts/ci_bench_guard.py's floors: twice the median of the committed
+# value and five fresh runs on a 2-vCPU VM.
+NORMALIZE_US_BOUND = 30.0
+EXTRACT_US_BOUND = 600.0
+
 
 def test_normalize_speed(benchmark):
     out = benchmark(normalize, PAYLOAD)
@@ -130,5 +135,6 @@ def test_micro_substrates_artifact(emit):
         },
     ))
 
-    assert normalize_us > 0.0
+    assert 0.0 < normalize_us <= NORMALIZE_US_BOUND
+    assert extract_us <= EXTRACT_US_BOUND
     assert batch_us > extract_us

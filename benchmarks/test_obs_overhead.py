@@ -19,6 +19,9 @@ from repro.serve.telemetry import Telemetry
 
 REPEATS = 5
 REQUESTS = 600
+# scripts/ci_bench_guard.py's floor: twice the median of the committed
+# value and five fresh runs on a 2-vCPU VM.
+PER_REQUEST_US_BOUND = 220.0
 
 
 def _min_wall_s_interleaved(
@@ -97,7 +100,7 @@ def test_instrumentation_overhead_under_5_percent(bench_context, record,
         },
     ))
 
-    assert per_request_us > 0.0
+    assert 0.0 < per_request_us <= PER_REQUEST_US_BOUND
     assert overhead <= 0.05, (
         f"instrumentation overhead {overhead * 100:.2f}% exceeds 5%"
     )

@@ -25,7 +25,9 @@ the fresh speedup must hold 85% of the committed baseline speedup (a
 ratio of ratios — insensitive to the runner's absolute speed).
 
 ``BENCH_serving.json`` — a live 2-shard fleet probe must serve with
-bit-exact parity and retain at least half of single-shard capacity.
+bit-exact parity and retain at least ``MIN_PROBE_EFFICIENCY`` of
+single-shard capacity, the same floor the committed artifact's measured
+``speedup_at_cores`` holds.
 
 ``BENCH_canary.json`` — the committed promote/reject rounds replay
 through the *current* gate implementation; both decisions must reproduce,
@@ -51,11 +53,12 @@ import subprocess
 import sys
 
 BASELINE_PATH = "benchmarks/results/BENCH_matching.json"
-SERVING_BASELINE_PATH = "benchmarks/results/BENCH_serving.json"
 CANARY_BASELINE_PATH = "benchmarks/results/BENCH_canary.json"
 SURFACES_BASELINE_PATH = "benchmarks/results/BENCH_surfaces.json"
 ALLOWED_FRACTION = 0.85
-MIN_MODELED_SPEEDUP_AT_4 = 2.5
+# An N-shard fleet (N <= cores) must keep this share of 1-shard capacity:
+# the committed artifact's measured speedup_at_cores and the live probe's
+# C2/C1 both hold it.
 MIN_PROBE_EFFICIENCY = 0.5
 PROBE_PAYLOAD_COUNT = 400
 
@@ -63,7 +66,10 @@ PROBE_PAYLOAD_COUNT = 400
 # Each triple mirrors an acceptance assertion in the bench module that
 # produced the artifact; ops are the keys of FLOOR_OPS.  Derived-margin
 # metrics (e.g. ``tpr_gain_40`` = TPR(+40%) − TPR(base)) turn the
-# benches' cross-metric assertions into constant comparisons.
+# benches' cross-metric assertions into constant comparisons.  Timing
+# bounds marked "2x median" are twice the median of the committed value
+# and five fresh runs (half of it for a speedup), rounded to two
+# significant figures toward the passing side.
 FLOOR_OPS = {
     ">=": lambda value, bound: value >= bound,
     ">": lambda value, bound: value > bound,
@@ -73,11 +79,12 @@ FLOOR_OPS = {
 FLOORS: dict[str, tuple[tuple[str, str, object], ...]] = {
     "matching": (
         ("identical", "==", True),
-        ("speedup", ">=", 3.0),
+        ("speedup", ">=", 4.4),  # 2x median: 8.99
     ),
     "serving": (
         ("parity_ok", "==", True),
-        ("modeled_speedup_at_4", ">=", MIN_MODELED_SPEEDUP_AT_4),
+        ("cores", ">=", 2),
+        ("speedup_at_cores", ">=", MIN_PROBE_EFFICIENCY),
     ),
     "canary": (
         ("promoted", "==", True),
@@ -105,19 +112,17 @@ FLOORS: dict[str, tuple[tuple[str, str, object], ...]] = {
         ("slowdown_vs_modsec", ">=", 1.5),
         ("slowdown_vs_modsec", "<=", 100.0),
         ("slowdown_vs_bro", ">=", 1.5),
-        ("psigene_max_us", "<=", 20_000.0),
-    ),
-    "exp4_parallel": (
-        ("verdict_parity", "==", True),
-        ("speedup_at_max", ">=", 1.2),
+        ("psigene_max_us", "<=", 7_700.0),  # 2x median: 3,839
     ),
     "exp4_batch_extraction": (
         ("identical", "==", True),
-        ("modeled_speedup_at_4", ">=", 1.5),
+        ("cores", ">=", 2),
+        # Fan-out may not be slower than serial on the cores present.
+        ("measured_speedup_at_cores", ">=", 1.0),
     ),
     "exp4_batch_matching": (
         ("identical", "==", True),
-        ("modeled_speedup_at_4", ">=", 1.5),
+        ("cores", ">=", 2),
     ),
     "ablation_binary_features": (
         ("fpr_penalty", ">=", 0.0),
@@ -211,11 +216,11 @@ FLOORS: dict[str, tuple[tuple[str, str, object], ...]] = {
     ),
     "obs_overhead": (
         ("overhead_fraction", "<=", 0.05),
-        ("per_request_us", "<=", 100_000.0),
+        ("per_request_us", "<=", 220.0),  # 2x median: 107.4
     ),
     "micro_substrates": (
-        ("normalize_us", "<=", 100_000.0),
-        ("extract_us", "<=", 100_000.0),
+        ("normalize_us", "<=", 30.0),  # 2x median: 14.6
+        ("extract_us", "<=", 600.0),  # 2x median: 296.8
     ),
 }
 
@@ -411,8 +416,12 @@ def serving_probe() -> dict:
     }
 
 
-def check_serving(baseline: dict | None, probe: dict) -> str:
-    """Serving guard verdict; raises AssertionError on regression."""
+def check_serving(probe: dict) -> str:
+    """Serving guard verdict; raises AssertionError on regression.
+
+    The committed ``BENCH_serving.json`` is held to the same
+    ``MIN_PROBE_EFFICIENCY`` by its ``FLOORS`` entry in the sweep.
+    """
     if not probe["parity_ok"]:
         raise AssertionError(
             "fleet probe lost parity with the offline engine"
@@ -424,26 +433,9 @@ def check_serving(baseline: dict | None, probe: dict) -> str:
             f"single-shard capacity (floor {MIN_PROBE_EFFICIENCY}): "
             f"shard coordination overhead regressed"
         )
-    if baseline is None:
-        return (
-            f"serving guard OK (no committed {SERVING_BASELINE_PATH} "
-            f"baseline): probe efficiency {efficiency:.2f}, parity OK"
-        )
-    metrics = baseline["metrics"]
-    modeled = float(metrics.get("modeled_speedup_at_4", 0.0))
-    if modeled < MIN_MODELED_SPEEDUP_AT_4:
-        raise AssertionError(
-            f"committed {SERVING_BASELINE_PATH} modeled_speedup_at_4 "
-            f"{modeled:.2f}x < {MIN_MODELED_SPEEDUP_AT_4}x bar"
-        )
-    if not metrics.get("parity_ok", False):
-        raise AssertionError(
-            f"committed {SERVING_BASELINE_PATH} records parity_ok=false"
-        )
     return (
-        f"serving guard OK: baseline modeled speedup {modeled:.2f}x "
-        f">= {MIN_MODELED_SPEEDUP_AT_4}x at 4 shards, "
-        f"probe efficiency {efficiency:.2f}, parity OK"
+        f"serving guard OK: probe efficiency {efficiency:.2f} "
+        f">= {MIN_PROBE_EFFICIENCY}, parity OK"
     )
 
 
@@ -628,9 +620,7 @@ def main() -> int:
         baseline = committed_baseline()
         fresh = fresh_measurement()
         print(check(baseline, fresh))
-        serving = committed_baseline(SERVING_BASELINE_PATH)
-        probe = serving_probe()
-        print(check_serving(serving, probe))
+        print(check_serving(serving_probe()))
         print(check_canary(committed_baseline(CANARY_BASELINE_PATH)))
         print(check_surfaces(
             committed_baseline(SURFACES_BASELINE_PATH),

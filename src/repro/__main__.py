@@ -83,14 +83,21 @@ def _build_detector(name: str, signatures: str | None):
     return builders[name](), None
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.core import (
-        PipelineConfig,
-        PSigenePipeline,
-        signature_set_to_json,
-    )
+def _pipeline_config(**settings):
+    """A validated ``PipelineConfig``; an impossible setting exits naming
+    the field, before any work starts."""
+    from repro.core import PipelineConfig
 
-    config = PipelineConfig(
+    try:
+        return PipelineConfig(**settings)
+    except ValueError as error:
+        raise SystemExit(f"repro: {error}") from None
+
+
+def _cmd_train(args: argparse.Namespace) -> int:
+    from repro.core import PSigenePipeline, signature_set_to_json
+
+    config = _pipeline_config(
         seed=args.seed,
         n_attack_samples=args.samples,
         n_benign_train=args.benign,
@@ -220,12 +227,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     context = EvaluationContext.build(
         seed=args.seed,
-        n_attack_samples=args.samples,
-        n_benign_train=min(args.samples * 3, 10_000),
         n_benign_test=args.benign,
-        max_cluster_rows=min(args.samples, 1500),
         n_vulnerabilities=args.vulnerabilities,
-        workers=args.workers,
+        config=_pipeline_config(
+            seed=args.seed,
+            n_attack_samples=args.samples,
+            n_benign_train=min(args.samples * 3, 10_000),
+            max_cluster_rows=min(args.samples, 1500),
+            workers=args.workers,
+        ),
     )
     rows = table5_accuracy(context)
     print(format_table(

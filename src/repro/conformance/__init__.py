@@ -27,7 +27,6 @@ from repro.conformance.oracle import (
 )
 from repro.conformance.paths import (
     BatchPath,
-    ClusterPath,
     DetectorPath,
     EngineRunPath,
     GatewayFramedPath,
@@ -50,7 +49,6 @@ from repro.conformance.verdict import (
 __all__ = [
     "BUDGETS",
     "BatchPath",
-    "ClusterPath",
     "ConformanceError",
     "ConformanceReport",
     "DetectorPath",

@@ -3,7 +3,7 @@
 The paper's operational claim (Section V) is that a deployed signature
 set gives one stable verdict per payload.  The repo now computes that
 verdict along several code paths — serial ``evaluate``, batched
-``run_batch``, the cluster-mode shards, the serving gateway — and the
+``run_batch``, the serving gateway and fleet — and the
 conformance layer reduces every path's answer to one comparable shape:
 ``(alert, score, fired)``.  Two paths *conform* when their verdict
 sequences are element-wise equal (scores within a tolerance); every

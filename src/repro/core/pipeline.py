@@ -82,6 +82,19 @@ class PipelineConfig:
     extraction_chunk_size: int | None = None
     manifest_dir: str | None = None
 
+    def __post_init__(self) -> None:
+        """Reject settings no run could honour, before any work starts."""
+        for name in ("n_attack_samples", "n_benign_train", "workers"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        quantile = self.assignment_radius_quantile
+        if not 0.0 < quantile <= 1.0:
+            raise ValueError(
+                f"assignment_radius_quantile must be in (0, 1], "
+                f"got {quantile}"
+            )
+
 
 @dataclass
 class PipelineResult:

@@ -5,9 +5,8 @@ path and the per-signature reference loop (the set's
 :meth:`~repro.core.signature.SignatureSet.reference` twin).  Aggregate
 µs/request comes from the best of several whole-trace passes (robust to
 scheduler noise); the percentile columns come from one instrumented
-per-request pass with the measured ``perf_counter`` overhead subtracted,
-mirroring the discipline of
-:func:`repro.parallel.batch.bench_batch_matching`.
+per-request pass with the measured ``perf_counter`` overhead subtracted
+(:func:`repro.parallel.timing.timer_overhead`).
 
 The result serializes to the machine-readable
 ``benchmarks/results/BENCH_matching.json`` artifact that CI's
@@ -105,9 +104,8 @@ def bench_fused_matching(
     set's reference twin.
 
     Both engines see identical pre-normalized inputs (normalization cost
-    is the same fixed prologue either way and is excluded, exactly like
-    the exp4 matching bench).  Verdict parity is checked on every
-    payload before any timing.
+    is the same fixed prologue either way and is excluded).  Verdict
+    parity is checked on every payload before any timing.
     """
     # Deferred: repro.parallel reaches back through the detector stack
     # into repro.match, so a module-level import would be circular.

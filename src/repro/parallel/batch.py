@@ -17,9 +17,7 @@ requests are independent.
 from __future__ import annotations
 
 import copy
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +26,8 @@ from repro.http.traffic import Trace
 from repro.ids.engine import Alert, Detector, EngineRun
 from repro.obs import trace as obs_trace
 from repro.parallel.cache import CachedNormalizer
-from repro.parallel.chunking import assign_round_robin, chunk_spans, plan_chunks
-from repro.parallel.timing import timer_overhead
+from repro.parallel.chunking import chunk_spans, plan_chunks
+from repro.parallel.timing import ScalingPoint, measure_scaling
 
 #: Traces smaller than this are inspected in-process; pool startup would
 #: dominate.
@@ -199,80 +197,22 @@ def _match_chunk_with(
 # -- benchmarking --------------------------------------------------------------
 
 
-@dataclass
-class BatchMatchBench:
-    """Serial-versus-batched matching measurement for one worker count.
-
-    Attributes:
-        workers: worker count measured.
-        n_requests: trace size.
-        n_chunks: chunks the trace was split into.
-        serial_us: mean per-request inspection time (overhead-corrected).
-        critical_path_us: slowest worker's per-request share under
-            round-robin chunk assignment.
-        modeled_speedup: ``serial / critical path``.
-        pool_wall_s: wall-clock seconds of the real process-pool run.
-        identical: batched flags matched the serial run element-wise.
-    """
-
-    workers: int
-    n_requests: int
-    n_chunks: int
-    serial_us: float
-    critical_path_us: float
-    modeled_speedup: float
-    pool_wall_s: float
-    identical: bool
-
-
 def bench_batch_matching(
-    detector: Detector,
-    trace: Trace,
-    *,
-    workers: tuple[int, ...] = (1, 2, 4, 8),
-    chunk_size: int | None = None,
-) -> list[BatchMatchBench]:
-    """Measure batched matching at several worker counts.
+    detector: Detector, trace: Trace
+) -> list[ScalingPoint]:
+    """Measured :func:`run_batch` scaling.
 
-    Mirrors :func:`repro.parallel.extract.bench_batch_extraction`: one
-    overhead-corrected serial pass provides per-request costs, the
-    critical-path model predicts the core-per-worker latency, and the real
-    pool run provides wall clock plus a parity check.
+    The real entry point runs at each worker count up to the cores
+    present — one worker takes the in-process chunk loop — and every
+    count's alert flags and scores must equal the 1-worker run's (see
+    :func:`repro.parallel.timing.measure_scaling`).
     """
-    payloads = trace.payloads()
-    n = len(payloads)
-    overhead = timer_overhead()
-    per_request = np.zeros(n)
-    serial_flags = np.zeros(n, dtype=bool)
-    for i, payload in enumerate(payloads):
-        start = time.perf_counter()
-        detection = detector.inspect(payload)
-        per_request[i] = max(time.perf_counter() - start - overhead, 0.0)
-        serial_flags[i] = bool(detection.alert)
-    serial_total = float(per_request.sum())
 
-    results = []
-    for count in workers:
-        spans = plan_chunks(n, count, chunk_size) if n else []
-        chunk_costs = [per_request[start:stop].sum() for start, stop in spans]
-        loads = [
-            sum(chunk_costs[c] for c in assigned)
-            for assigned in assign_round_robin(len(spans), count)
-        ]
-        critical = max(loads) if loads else 0.0
-        start = time.perf_counter()
-        run = run_batch(
-            detector, trace, workers=count, chunk_size=chunk_size
-        )
-        wall = time.perf_counter() - start
-        results.append(BatchMatchBench(
-            workers=count,
-            n_requests=n,
-            n_chunks=len(spans),
-            serial_us=serial_total / n * 1e6 if n else 0.0,
-            critical_path_us=critical / n * 1e6 if n else 0.0,
-            modeled_speedup=serial_total / critical if critical > 0 else 1.0,
-            pool_wall_s=wall,
-            identical=bool((run.alert_flags == serial_flags).all()),
-        ))
-    return results
+    def run(workers: int) -> tuple[np.ndarray, np.ndarray]:
+        batch = run_batch(detector, trace, workers=workers)
+        return batch.alert_flags, batch.scores
+
+    def same(left, right) -> bool:
+        return all(map(np.array_equal, left, right))
+
+    return measure_scaling(run, len(trace), same)

@@ -55,18 +55,3 @@ def plan_chunks(
 def chunk_spans(items: list, spans: list[tuple[int, int]]) -> list[list]:
     """Materialize the item slices named by *spans*."""
     return [items[start:stop] for start, stop in spans]
-
-
-def assign_round_robin(n_chunks: int, workers: int) -> list[list[int]]:
-    """Chunk indices per worker, dealt cyclically.
-
-    Used by the critical-path model: equal-size chunks dealt round-robin
-    give each worker an (almost) equal share, mirroring how a pool drains
-    a queue of uniform tasks.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    assignment: list[list[int]] = [[] for _ in range(workers)]
-    for chunk in range(n_chunks):
-        assignment[chunk % workers].append(chunk)
-    return assignment

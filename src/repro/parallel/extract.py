@@ -12,17 +12,15 @@ input order — so the parallel matrix is bit-identical to the serial one.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.features.extractor import FeatureExtractor
 from repro.features.matrix import FeatureMatrix
 from repro.parallel.cache import CachedNormalizer
-from repro.parallel.chunking import assign_round_robin, chunk_spans, plan_chunks
-from repro.parallel.timing import timer_overhead
+from repro.parallel.chunking import chunk_spans, plan_chunks
+from repro.parallel.timing import ScalingPoint, measure_scaling
 
 #: Batches smaller than this never leave the calling process: pool startup
 #: costs more than the extraction itself.
@@ -155,91 +153,22 @@ class ParallelFeatureExtractor:
 # -- benchmarking --------------------------------------------------------------
 
 
-@dataclass
-class ExtractionBench:
-    """Serial-versus-parallel extraction measurement for one worker count.
-
-    Attributes:
-        workers: worker count measured.
-        n_payloads: batch size.
-        n_chunks: chunks the batch was split into.
-        serial_us: mean per-payload extraction time, timer overhead
-            subtracted, measured in a plain serial pass.
-        critical_path_us: mean per-payload time of the slowest worker under
-            round-robin chunk assignment — the latency a core-per-worker
-            deployment would exhibit.
-        modeled_speedup: ``serial / critical path``.
-        pool_wall_s: wall-clock seconds of the real process-pool run (its
-            speedup depends on the cores actually available, unlike the
-            model).
-        identical: parallel output matched the serial matrix element-wise.
-    """
-
-    workers: int
-    n_payloads: int
-    n_chunks: int
-    serial_us: float
-    critical_path_us: float
-    modeled_speedup: float
-    pool_wall_s: float
-    identical: bool
-
-
 def bench_batch_extraction(
     payloads: list[str],
     *,
     extractor: FeatureExtractor | None = None,
-    workers: tuple[int, ...] = (1, 2, 4, 8),
-    chunk_size: int | None = None,
-) -> list[ExtractionBench]:
-    """Measure batch extraction at several worker counts.
+) -> list[ScalingPoint]:
+    """Measured :meth:`ParallelFeatureExtractor.extract_many` scaling.
 
-    One instrumented serial pass times every payload (overhead-corrected,
-    see :func:`repro.parallel.timing.timer_overhead`); each worker count is
-    then modeled by dealing the planned chunks round-robin and taking the
-    slowest worker's share, and *run* through the real pool for wall-clock
-    and a parity check.
+    The real entry point runs at each worker count up to the cores
+    present — one worker takes its in-process serial path — and every
+    count's matrix must equal the 1-worker matrix element-wise (see
+    :func:`repro.parallel.timing.measure_scaling`).
     """
     extractor = extractor if extractor is not None else FeatureExtractor()
-    overhead = timer_overhead()
-    per_payload = np.zeros(len(payloads))
-    rows = []
-    for i, payload in enumerate(payloads):
-        start = time.perf_counter()
-        rows.append(extractor.extract(payload))
-        per_payload[i] = max(time.perf_counter() - start - overhead, 0.0)
-    serial_matrix = (
-        np.vstack(rows) if rows else np.zeros((0, len(extractor.catalog)))
-    )
-    serial_total = float(per_payload.sum())
-    n = len(payloads)
 
-    results = []
-    for count in workers:
-        spans = plan_chunks(n, count, chunk_size) if n else []
-        chunk_costs = [per_payload[start:stop].sum() for start, stop in spans]
-        loads = [
-            sum(chunk_costs[c] for c in assigned)
-            for assigned in assign_round_robin(len(spans), count)
-        ]
-        critical = max(loads) if loads else 0.0
-        parallel = ParallelFeatureExtractor(
-            extractor, workers=count, chunk_size=chunk_size
-        )
-        start = time.perf_counter()
-        matrix = parallel.extract_many(payloads)
-        wall = time.perf_counter() - start
-        results.append(ExtractionBench(
-            workers=count,
-            n_payloads=n,
-            n_chunks=len(spans),
-            serial_us=serial_total / n * 1e6 if n else 0.0,
-            critical_path_us=critical / n * 1e6 if n else 0.0,
-            modeled_speedup=serial_total / critical if critical > 0 else 1.0,
-            pool_wall_s=wall,
-            identical=bool(
-                matrix.counts.shape == serial_matrix.shape
-                and (matrix.counts == serial_matrix).all()
-            ),
-        ))
-    return results
+    def run(workers: int) -> np.ndarray:
+        parallel = ParallelFeatureExtractor(extractor, workers=workers)
+        return parallel.extract_many(payloads).counts
+
+    return measure_scaling(run, len(payloads), np.array_equal)

@@ -9,7 +9,6 @@ mean nothing.
 import pytest
 
 from repro.conformance import (
-    ClusterPath,
     ConformanceError,
     DetectorPath,
     Oracle,
@@ -68,8 +67,9 @@ class ExplodingPath(DetectorPath):
 
 class TestOracleConformant:
     def test_toy_detector_agrees_on_every_path(self):
-        # Cluster mode self-excludes (no signature_set on the rule set);
-        # everything else — engine, batch fan-out, live gateway — runs.
+        # The reference loop self-excludes (no signature_set on the rule
+        # set); everything else — engine, batch fan-out, live gateway —
+        # runs.
         report = Oracle(toy_detector(), check_extraction=False).run(
             PAYLOADS
         )
@@ -77,7 +77,7 @@ class TestOracleConformant:
         assert report.paths[0] == "serial"
         assert "gateway" in report.paths
         assert "batch-w8" in report.paths
-        assert all(name != "cluster-w4" for name in report.paths)
+        assert "serial-legacy" not in report.paths
         assert all(
             report.path_wall_s[name] >= 0 for name in report.paths
         )
@@ -97,7 +97,7 @@ class TestOracleConformant:
     @pytest.mark.smoke
     def test_trained_detector_full_path_matrix(self, small_signatures):
         # The acceptance bar: the real pSigene detector, every path
-        # including cluster sharding and the TCP gateway, a fuzzed
+        # including the reference loop and the TCP gateway, a fuzzed
         # corpus big enough to cross MIN_PARALLEL_BATCH — zero
         # divergences.
         detector = PSigeneDetector(small_signatures)
@@ -106,8 +106,12 @@ class TestOracleConformant:
             detector, extraction_workers=(1, 2)
         ).run(corpus)
         assert report.ok, format_report(report)
-        assert "cluster-w4" in report.paths
-        assert "extraction" in report.paths
+        assert report.paths == [
+            "serial", "serial-legacy", "engine-run",
+            "surfaces-legacy-parity", "batch-w1", "batch-w2", "batch-w8",
+            "gateway", "gateway-framed", "fleet-s2", "fleet-s2-reload",
+            "extraction",
+        ]
         assert report.n_payloads == len(corpus)
 
 
@@ -221,11 +225,6 @@ class TestLegacySerialPath:
         from repro.conformance import LegacySerialPath
 
         path = LegacySerialPath()
-        assert not path.supports(toy_detector())
-        assert path.supports(PSigeneDetector(small_signatures))
-
-    def test_cluster_path_requires_a_signature_set(self, small_signatures):
-        path = ClusterPath()
         assert not path.supports(toy_detector())
         assert path.supports(PSigeneDetector(small_signatures))
 

@@ -6,6 +6,28 @@ import pytest
 from repro.core import PipelineConfig, PSigenePipeline
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(("field", "value"), [
+        ("n_attack_samples", 0),
+        ("n_attack_samples", -5),
+        ("n_benign_train", 0),
+        ("workers", 0),
+        ("assignment_radius_quantile", 0.0),
+        ("assignment_radius_quantile", 1.5),
+        ("assignment_radius_quantile", float("nan")),
+    ])
+    def test_impossible_setting_is_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**{field: value})
+
+    def test_boundary_settings_are_accepted(self):
+        config = PipelineConfig(
+            n_attack_samples=1, n_benign_train=1, workers=1,
+            assignment_radius_quantile=1.0,
+        )
+        assert config.assignment_radius_quantile == 1.0
+
+
 class TestPhase1:
     def test_crawler_collects_samples(self, small_pipeline, small_result):
         assert len(small_result.samples) >= 800

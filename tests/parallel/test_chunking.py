@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel import assign_round_robin, chunk_spans, plan_chunks
+from repro.parallel import chunk_spans, plan_chunks
 
 
 class TestPlanChunks:
@@ -44,19 +44,3 @@ class TestChunkSpans:
         assert chunk_spans(items, spans) == [
             [0, 1, 2, 3], [4, 5, 6, 7], [8, 9]
         ]
-
-
-class TestAssignRoundRobin:
-    def test_every_chunk_assigned_once(self):
-        assignment = assign_round_robin(10, 3)
-        flat = sorted(i for worker in assignment for i in worker)
-        assert flat == list(range(10))
-
-    def test_balanced_within_one(self):
-        assignment = assign_round_robin(10, 3)
-        sizes = [len(worker) for worker in assignment]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            assign_round_robin(5, 0)

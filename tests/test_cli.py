@@ -180,6 +180,18 @@ class TestLoadgenCommand:
 
 
 class TestParser:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_zero_workers_exit_before_any_work(self, command, monkeypatch):
+        from repro.core import PSigenePipeline
+
+        def no_training(self):
+            raise AssertionError("trained despite an invalid config")
+
+        monkeypatch.setattr(PSigenePipeline, "run", no_training)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--workers", "0"])
+        assert str(excinfo.value) == "repro: workers must be >= 1, got 0"
+
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             main([])
