@@ -122,6 +122,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     from repro.core import signature_set_from_json
 
+    if args.workers < 1:
+        raise SystemExit(f"repro: workers must be >= 1, got {args.workers}")
     try:
         with open(args.signatures) as handle:
             signature_set = signature_set_from_json(handle.read())
@@ -250,59 +252,56 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serving_config(args: argparse.Namespace, **settings):
+    """The one settings set of ``serve``/``loadgen``: a ``FleetConfig``
+    (a ``GatewayConfig`` plus fleet-only fields) serves a fleet or a
+    single gateway alike.  A bad ``--surfaces`` exits naming it."""
+    from repro.serve import FleetConfig
+
+    try:
+        return FleetConfig(
+            shards=args.shards,
+            queue_bound=args.queue_bound,
+            policy=args.policy,
+            surfaces=args.surfaces,
+            **settings,
+        )
+    except ValueError as error:
+        raise SystemExit(f"repro: {error}") from None
+
+
+def _serving_target(detector, config):
+    """An unstarted fleet supervisor for more than one shard, else a
+    single in-process gateway."""
+    from repro.serve import DetectionGateway, FleetSupervisor, SignatureStore
+
+    path = config.signature_path
+    source = f"file:{path}" if path is not None else "static"
+    if config.shards > 1:
+        return FleetSupervisor(detector, config, source=source)
+    return DetectionGateway(
+        SignatureStore(detector, path=path, source=source), config
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.serve import DetectionGateway, GatewayConfig, SignatureStore
-
-    from repro.surfaces import parse_surfaces
-
-    try:
-        surfaces = parse_surfaces(args.surfaces)
-    except ValueError as error:
-        raise SystemExit(f"repro: {error}") from None
-    detector, reload_path = _build_detector(args.detector, args.signatures)
-    source = f"file:{reload_path}" if reload_path is not None else "static"
-    if args.shards > 1:
-        from repro.serve import FleetConfig, FleetSupervisor
-
-        supervisor = FleetSupervisor(
-            detector,
-            FleetConfig(
-                shards=args.shards,
-                host=args.host,
-                port=args.port,
-                control_port=args.control_port,
-                queue_bound=args.queue_bound,
-                policy=args.policy,
-                max_inflight_per_connection=args.max_inflight,
-                signature_path=reload_path,
-                surfaces=args.surfaces,
-            ),
-            source=source,
-        )
-        try:
-            asyncio.run(supervisor.serve_forever())
-        except KeyboardInterrupt:
-            print("repro.serve.fleet: draining and shutting down")
-        return 0
-    store = SignatureStore(
-        detector,
-        path=reload_path,
-        source=source,
-    )
-    gateway = DetectionGateway(store, GatewayConfig(
+    config = _serving_config(
+        args,
         host=args.host,
         port=args.port,
-        queue_bound=args.queue_bound,
-        policy=args.policy,
         max_inflight_per_connection=args.max_inflight,
-        surfaces=surfaces,
-    ))
+        control_port=args.control_port,
+    )
+    detector, config.signature_path = _build_detector(
+        args.detector, args.signatures
+    )
+    server = _serving_target(detector, config)
 
     async def _serve() -> None:
         try:
-            await gateway.serve_forever()
+            await server.serve_forever()
         except asyncio.CancelledError:
             pass
 
@@ -316,24 +315,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.serve import (
-        DetectionGateway,
-        FleetConfig,
-        FleetSupervisor,
-        GatewayConfig,
-        SignatureStore,
-        build_load_trace,
-        format_report,
-        run_loadgen,
-    )
+    from repro.serve import build_load_trace, format_report, run_loadgen
+    from repro.surfaces import LEGACY_SURFACES
 
-    from repro.surfaces import LEGACY_SURFACES, parse_surfaces
-
-    try:
-        surfaces = parse_surfaces(args.surfaces)
-    except ValueError as error:
-        raise SystemExit(f"repro: {error}") from None
-    framed = args.framed or surfaces != LEGACY_SURFACES
+    config = _serving_config(args)
+    framed = args.framed or config.surfaces != LEGACY_SURFACES
     detector, _ = _build_detector(args.detector, args.signatures)
     trace = build_load_trace(
         seed=args.seed,
@@ -341,21 +327,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         n_vulnerabilities=args.vulnerabilities,
     )
     traffic = trace.requests if framed else trace.payloads()
-    if args.shards > 1:
-        server = FleetSupervisor(detector, FleetConfig(
-            shards=args.shards,
-            queue_bound=args.queue_bound,
-            policy=args.policy,
-        ))
-    else:
-        server = DetectionGateway(SignatureStore(detector), GatewayConfig(
-            queue_bound=args.queue_bound,
-            policy=args.policy,
-        ))
     report = asyncio.run(run_loadgen(
-        server,
+        _serving_target(detector, config),
         traffic[: args.requests] or traffic,
-        surfaces=surfaces if framed else None,
+        surfaces=config.surfaces if framed else None,
         connections=args.connections,
         window=args.window,
         rate=args.rate,

@@ -41,6 +41,9 @@ MIN_SAMPLE_FRACTION = 0.05
 BLACK_HOLE_ROW_FEATURES = 5
 BLACK_HOLE_ROW_FRACTION = 0.60
 
+#: Fewest sample rows :meth:`Biclusterer.fit` can cluster.
+MIN_CLUSTER_ROWS = 4
+
 #: Retained for the ablation benches: the paper's literal all-cells rule.
 BLACK_HOLE_ZERO_FRACTION = 0.94
 
@@ -204,8 +207,10 @@ class Biclusterer:
     def fit(self, counts: np.ndarray) -> BiclusteringResult:
         """Bicluster a ``(n_samples, n_features)`` count matrix."""
         counts = np.asarray(counts, dtype=np.float64)
-        if counts.ndim != 2 or counts.shape[0] < 4:
-            raise ValueError("need a 2-D matrix with at least 4 samples")
+        if counts.ndim != 2 or counts.shape[0] < MIN_CLUSTER_ROWS:
+            raise ValueError(
+                f"need a 2-D matrix with at least {MIN_CLUSTER_ROWS} samples"
+            )
         transformed = self.transform_rows(counts)
         prototypes, weights, inverse = unique_rows_with_weights(transformed)
         if prototypes.shape[0] < 2:

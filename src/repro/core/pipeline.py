@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.bicluster import Bicluster, Biclusterer, BiclusteringResult
+from repro.cluster.bicluster import MIN_CLUSTER_ROWS
 from repro.core.generalizer import (
     GeneralizerConfig,
     SignatureGeneralizer,
@@ -88,6 +89,11 @@ class PipelineConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.max_cluster_rows < MIN_CLUSTER_ROWS:
+            raise ValueError(
+                f"max_cluster_rows must be >= {MIN_CLUSTER_ROWS}, "
+                f"got {self.max_cluster_rows}"
+            )
         quantile = self.assignment_radius_quantile
         if not 0.0 < quantile <= 1.0:
             raise ValueError(

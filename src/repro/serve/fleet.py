@@ -48,7 +48,6 @@ from typing import Any
 from repro.serve.gateway import DetectionGateway, GatewayConfig
 from repro.serve.store import SignatureStore, StoreError
 from repro.serve.telemetry import Telemetry
-from repro.surfaces import parse_surfaces
 
 __all__ = [
     "PROBE_PAYLOADS",
@@ -128,23 +127,14 @@ class ShardBoot:
     Attributes:
         shard_id: stable slot number (respawns keep it).
         detector: the detector to mount (current fleet generation).
+        gateway: the shard's gateway settings — the fleet's own config
+            with the shared data port resolved and ``allow_reload``
+            off, built once per fleet in the parent.
         generation: store version the detector represents.
         source: provenance string for the shard's store.
-        host: data-plane bind address.
-        port: the fleet's shared data port.
-        reuseport: bind a private ``SO_REUSEPORT`` listener (else serve
-            on ``listen_socket``).
-        listen_socket: fork-inherited shared listener (fallback path).
-        queue_bound: per-shard admission queue capacity.
-        policy: per-shard backpressure policy.
-        max_inflight_per_connection: pipelining window per connection.
-        drain_timeout: seconds a ``drain`` command may spend on queued
-            work before the shard exits anyway.
-        cost_threshold: ``cost`` policy shed threshold.
-        high_water: ``cost`` policy congestion fraction.
-        surfaces: default injection-surface selection spec for framed
-            requests that do not name one (a string, so the boot stays
-            picklable; parsed in the child).
+        listen_socket: fork-inherited shared listener (the
+            no-``SO_REUSEPORT`` fallback); ``None`` binds a private
+            ``SO_REUSEPORT`` listener.
         close_fds: supervisor-side descriptors a forked child should
             close immediately (other shards' pipes, the control-plane
             listener) so a respawned shard never holds them open past
@@ -153,19 +143,10 @@ class ShardBoot:
 
     shard_id: int
     detector: Any
+    gateway: GatewayConfig
     generation: int = 1
     source: str = "static"
-    host: str = "127.0.0.1"
-    port: int = 0
-    reuseport: bool = True
     listen_socket: socket.socket | None = None
-    queue_bound: int = 1024
-    policy: str = "block"
-    max_inflight_per_connection: int = 64
-    drain_timeout: float = 10.0
-    cost_threshold: float = 256.0
-    high_water: float = 0.5
-    surfaces: str = "query,form"
     close_fds: tuple[int, ...] = field(default_factory=tuple)
 
 
@@ -196,20 +177,7 @@ class _ShardServer:
             initial_version=boot.generation,
         )
         self.gateway = DetectionGateway(
-            self.store,
-            GatewayConfig(
-                host=boot.host,
-                port=boot.port,
-                queue_bound=boot.queue_bound,
-                policy=boot.policy,
-                max_inflight_per_connection=boot.max_inflight_per_connection,
-                drain_timeout=boot.drain_timeout,
-                cost_threshold=boot.cost_threshold,
-                high_water=boot.high_water,
-                allow_reload=False,
-                surfaces=parse_surfaces(boot.surfaces),
-            ),
-            self.telemetry,
+            self.store, boot.gateway, self.telemetry
         )
         self._data_socket: socket.socket | None = None
         self._serving = False
@@ -226,7 +194,7 @@ class _ShardServer:
         loop.add_signal_handler(
             signal.SIGTERM,
             lambda: loop.create_task(
-                self._drain_and_exit(self.boot.drain_timeout)
+                self._drain_and_exit(self.boot.gateway.drain_timeout)
             ),
         )
         loop.add_reader(self.conn.fileno(), self._on_readable)
@@ -253,7 +221,9 @@ class _ShardServer:
             # Supervisor is gone: drain on our own deadline and exit
             # rather than serving as an orphan forever.
             loop.remove_reader(self.conn.fileno())
-            loop.create_task(self._drain_and_exit(self.boot.drain_timeout))
+            loop.create_task(
+                self._drain_and_exit(self.boot.gateway.drain_timeout)
+            )
 
     def _reply(self, message: dict, **fields: Any) -> None:
         message_id = message.get("id")
@@ -298,7 +268,7 @@ class _ShardServer:
                 )
             elif command == "drain":
                 drained = await self._drain_and_exit(
-                    message.get("timeout", self.boot.drain_timeout)
+                    message.get("timeout", self.boot.gateway.drain_timeout)
                 )
                 self._reply(message, ok=True, drained=drained)
             else:
@@ -326,7 +296,7 @@ class _ShardServer:
             self._data_socket = self.boot.listen_socket
         else:
             self._data_socket = make_reuseport_listener(
-                self.boot.host, self.boot.port
+                self.boot.gateway.host, self.boot.gateway.port
             )
         host, port = await self.gateway.start(sock=self._data_socket)
         self._serving = True

@@ -30,7 +30,6 @@ import socket
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.serve.admission import (
     DEFAULT_COST_THRESHOLD,
@@ -42,7 +41,9 @@ from repro.serve.admission import (
 )
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
+    HttpMessage,
     ProtocolError,
+    answer_http,
     decode_framed_request,
     encode_detection,
     encode_error,
@@ -50,17 +51,17 @@ from repro.serve.protocol import (
     encode_shed,
     encode_surface_detection,
     frame_header_size,
-    http_response,
     is_http_request_line,
-    read_http_message,
+    reload_rejection,
 )
-from repro.obs.prometheus import CONTENT_TYPE, render_exposition
+from repro.obs.prometheus import render_exposition
 from repro.serve.store import SignatureStore, StoreError, StoreVersion
 from repro.serve.telemetry import Telemetry, surfaces_section
 from repro.surfaces import (
     InjectionSurface,
     LEGACY_SURFACES,
     ScoreRequest,
+    parse_surfaces,
     score_request,
 )
 
@@ -78,10 +79,6 @@ class GatewayConfig:
         policy: full-queue behaviour (``block``, ``shed`` or ``cost``).
         max_inflight_per_connection: pipelining window per connection.
         drain_timeout: seconds to wait for queued work at shutdown.
-        cost_fn: prices a payload for the ``cost`` admission policy
-            (default: UTF-8 byte length — matching time scales with
-            payload size; a family-aware deployment can price attack
-            shapes higher).
         cost_threshold: ``cost`` policy shed threshold.
         high_water: queue-depth fraction where cost shedding begins.
         allow_reload: accept ``POST /reload`` on this gateway's own
@@ -92,6 +89,9 @@ class GatewayConfig:
         surfaces: default injection-surface selection for framed
             requests that do not name one (``repro serve --surfaces``);
             frames carrying an explicit ``surfaces`` field always win.
+
+    String ``policy``/``surfaces`` values are parsed here, once, so a bad
+    one fails where the config is built, before a fleet forks a shard.
     """
 
     host: str = "127.0.0.1"
@@ -100,11 +100,15 @@ class GatewayConfig:
     policy: BackpressurePolicy | str = BackpressurePolicy.BLOCK
     max_inflight_per_connection: int = 64
     drain_timeout: float = 10.0
-    cost_fn: Callable[[str], float] | None = None
     cost_threshold: float = DEFAULT_COST_THRESHOLD
     high_water: float = DEFAULT_HIGH_WATER
     allow_reload: bool = True
-    surfaces: tuple[InjectionSurface, ...] = LEGACY_SURFACES
+    surfaces: tuple[InjectionSurface, ...] | str = LEGACY_SURFACES
+
+    def __post_init__(self) -> None:
+        self.policy = BackpressurePolicy(self.policy)
+        if isinstance(self.surfaces, str):
+            self.surfaces = parse_surfaces(self.surfaces)
 
 
 @dataclass(slots=True)
@@ -220,7 +224,7 @@ class DetectionGateway:
         # Only the cost policy reads a price; block and shed never pay
         # for one.
         self._cost_fn = (
-            self.config.cost_fn or _default_cost
+            _default_cost
             if self.admission.policy is BackpressurePolicy.COST
             else None
         )
@@ -238,6 +242,13 @@ class DetectionGateway:
             "Deployed signature store generation.",
             function=lambda: float(self.store.version),
         )
+        self._routes = {
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/stats"): self._stats,
+            ("GET", "/metrics"): self._metrics,
+            ("POST", "/reload"): self._reload,
+            ("POST", "/inspect"): self._inspect,
+        }
         self._server: asyncio.base_events.Server | None = None
         self._drainer: asyncio.Task | None = None
         self._connections: set[asyncio.StreamWriter] = set()
@@ -297,7 +308,7 @@ class DetectionGateway:
         print(
             f"repro.serve: detector={detector} on {host}:{port} "
             f"(queue={self.config.queue_bound}, "
-            f"policy={BackpressurePolicy(self.config.policy).value})"
+            f"policy={self.config.policy.value})"
         )
         try:
             await self._stopped.wait()
@@ -415,7 +426,9 @@ class DetectionGateway:
             if not first:
                 return
             if is_http_request_line(first):
-                await self._handle_http(reader, writer, first)
+                await answer_http(
+                    reader, writer, self._routes, self.telemetry, first
+                )
             else:
                 await self._serve_lines(reader, writer, first)
         except (ConnectionResetError, asyncio.IncompleteReadError):
@@ -533,87 +546,59 @@ class DetectionGateway:
         finally:
             outbox.close()
 
-    # -- control plane -------------------------------------------------
+    # -- control plane (routes of protocol.answer_http) ---------------
 
-    async def _handle_http(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first: bytes,
-    ) -> None:
-        try:
-            message = await read_http_message(reader, first)
-        except (ProtocolError, asyncio.IncompleteReadError) as exc:
-            self.telemetry.increment("protocol_errors")
-            writer.write(http_response(400, {"error": str(exc)}))
-            await writer.drain()
-            return
-        status, payload = await self._route(message)
-        # Only /metrics answers with a string body (Prometheus text
-        # format); every JSON route returns a dict.
-        content_type = CONTENT_TYPE if isinstance(payload, str) else None
-        writer.write(http_response(status, payload, content_type=content_type))
-        await writer.drain()
+    async def _healthz(self, message: HttpMessage) -> tuple[int, dict]:
+        current = self.store.current()
+        return 200, {
+            "status": "draining" if self.admission.closed else "ok",
+            "detector": current.detector.name,
+            "version": current.version,
+            "queue_depth": self.admission.depth,
+        }
 
-    async def _route(self, message) -> tuple[int, dict | str]:
-        method, path = message.method, message.path
-        if path == "/healthz" and method == "GET":
-            current = self.store.current()
-            return 200, {
-                "status": "draining" if self.admission.closed else "ok",
+    async def _stats(self, message: HttpMessage) -> tuple[int, dict]:
+        current = self.store.current()
+        return 200, {
+            "store": {
                 "detector": current.detector.name,
                 "version": current.version,
-                "queue_depth": self.admission.depth,
+                "source": current.source,
+            },
+            "queue_depth": self.admission.depth,
+            "surfaces": surfaces_section(
+                self.telemetry.raw_state()["counters"]
+            ),
+            **self.telemetry.snapshot(),
+        }
+
+    async def _metrics(self, message: HttpMessage) -> tuple[int, str]:
+        return 200, render_exposition(self.telemetry.registry)
+
+    async def _reload(self, message: HttpMessage) -> tuple[int, dict]:
+        if not self.config.allow_reload:
+            return 403, {
+                "error": "reload is fleet-managed on this shard; "
+                         "POST /reload to the supervisor control "
+                         "plane instead",
+                "version": self.store.version,
             }
-        if path == "/stats" and method == "GET":
-            current = self.store.current()
-            return 200, {
-                "store": {
-                    "detector": current.detector.name,
-                    "version": current.version,
-                    "source": current.source,
-                },
-                "queue_depth": self.admission.depth,
-                "surfaces": surfaces_section(
-                    self.telemetry.raw_state()["counters"]
-                ),
-                **self.telemetry.snapshot(),
-            }
-        if path == "/reload" and method == "POST":
-            if not self.config.allow_reload:
-                return 403, {
-                    "error": "reload is fleet-managed on this shard; "
-                             "POST /reload to the supervisor control "
-                             "plane instead",
-                    "version": self.store.version,
-                }
-            try:
-                if message.body.strip():
-                    published = self.store.swap_json(message.body)
-                else:
-                    published = self.store.reload_from_path()
-            except StoreError as exc:
-                return 400, {
-                    "error": str(exc),
-                    "reason": exc.reason,
-                    "rejected": True,
-                    "version": self.store.version,
-                }
-            return 200, {
-                "version": published.version,
-                "source": published.source,
-                "detector": published.detector.name,
-            }
-        if path == "/metrics" and method == "GET":
-            return 200, render_exposition(self.telemetry.registry)
-        if path == "/inspect" and method == "POST":
-            result = await self.inspect(message.body)
-            if result.get("shed") or "error" in result:
-                return 503, result
-            return 200, result
-        if path in ("/healthz", "/stats", "/metrics", "/reload", "/inspect"):
-            return 405, {"error": f"{method} not allowed on {path}"}
-        return 404, {"error": f"no route {path}"}
+        try:
+            text, source = self.store.reload_input(message.body)
+            published = self.store.swap_json(text, source=source)
+        except StoreError as exc:
+            return 400, reload_rejection(exc, exc.reason, self.store.version)
+        return 200, {
+            "version": published.version,
+            "source": published.source,
+            "detector": published.detector.name,
+        }
+
+    async def _inspect(self, message: HttpMessage) -> tuple[int, dict]:
+        result = await self.inspect(message.body)
+        if result.get("shed") or "error" in result:
+            return 503, result
+        return 200, result
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes | None:

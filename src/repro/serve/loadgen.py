@@ -29,7 +29,6 @@ from repro.eval.serving import (
 )
 from repro.http.request import HttpRequest
 from repro.http.traffic import Trace
-from repro.serve.admission import BackpressurePolicy
 from repro.serve.gateway import DetectionGateway
 from repro.serve.protocol import decode_response, encode_framed_request
 from repro.serve.supervisor import FleetSupervisor
@@ -351,7 +350,7 @@ async def run_loadgen(
         detector=detector.name,
         shards=server.config.shards if fleet else 1,
         queue_bound=server.config.queue_bound,
-        policy=BackpressurePolicy(server.config.policy).value,
+        policy=server.config.policy.value,
         offered_rps=rate,
         slo_ms=slo_ms,
         per_shard={

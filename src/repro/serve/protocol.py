@@ -22,6 +22,9 @@ line of a connection:
   ``METHOD /path HTTP/1.x`` switches the connection to one-shot HTTP.
   Routes: ``GET /healthz``, ``GET /stats``, ``GET /metrics``
   (Prometheus text format), ``POST /reload``, ``POST /inspect``.
+  :func:`answer_http` is the one read/dispatch/respond path for both
+  the gateway's port and the fleet supervisor's control port; each
+  server supplies only its ``(method, path)`` route table.
 
 Keeping framing in one module means the gateway, the load generator,
 and the tests all parse and emit identical bytes.
@@ -33,9 +36,12 @@ import asyncio
 import json
 import re
 from dataclasses import dataclass, field
+from contextlib import suppress
+from typing import TYPE_CHECKING, Awaitable, Callable
 
 from repro.http.request import HttpRequest
 from repro.ids.rules import Detection
+from repro.obs.prometheus import CONTENT_TYPE
 from repro.surfaces import (
     InjectionSurface,
     LEGACY_SURFACES,
@@ -43,11 +49,15 @@ from repro.surfaces import (
     parse_surfaces,
 )
 
+if TYPE_CHECKING:
+    from repro.serve.telemetry import Telemetry
+
 __all__ = [
     "FRAME_MAGIC",
     "FRAME_VERSION",
     "HttpMessage",
     "ProtocolError",
+    "answer_http",
     "decode_framed_request",
     "decode_response",
     "encode_detection",
@@ -59,6 +69,7 @@ __all__ = [
     "http_response",
     "is_http_request_line",
     "read_http_message",
+    "reload_rejection",
 ]
 
 _HTTP_REQUEST_LINE = re.compile(
@@ -67,6 +78,17 @@ _HTTP_REQUEST_LINE = re.compile(
 
 MAX_LINE_BYTES = 64 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Most header lines one control-plane request may carry, and most
+#: bytes all of them may hold together; each line is also bounded by
+#: the server's stream limit.
+MAX_HEADER_LINES = 100
+MAX_HEAD_BYTES = MAX_LINE_BYTES
+
+#: Seconds a server keeps discarding input after answering a malformed
+#: request: closing with unread input makes the kernel reset the
+#: connection, and the client would lose the 400.
+LINGER_SECONDS = 1.0
 
 #: Wire format v2: the frame header magic.  The version is part of the
 #: magic so a v3 framing can coexist on the same port; a header the
@@ -285,6 +307,15 @@ class HttpMessage:
     body: str = ""
 
 
+async def _head_line(reader: asyncio.StreamReader) -> bytes:
+    """One request-head line; a line past the stream limit is a
+    protocol error, not a crash."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:
+        raise ProtocolError("request head line too long") from exc
+
+
 async def read_http_message(
     reader: asyncio.StreamReader, first_line: bytes
 ) -> HttpMessage:
@@ -292,15 +323,34 @@ async def read_http_message(
     already consumed.
 
     Raises:
-        ProtocolError: malformed head or oversized body.
+        ProtocolError: a request line that is not HTTP/1.x, a malformed
+            or over-long head, more than :data:`MAX_HEADER_LINES` header
+            lines or :data:`MAX_HEAD_BYTES` header bytes, or an oversized
+            body.
     """
+    if not is_http_request_line(first_line):
+        raise ProtocolError(
+            "control plane speaks HTTP only; payload lines go to the "
+            "data port"
+        )
     parts = first_line.decode("latin-1").split()
     method, path = parts[0], parts[1]
     headers: dict[str, str] = {}
+    lines = head_bytes = 0
     while True:
-        line = await reader.readline()
+        line = await _head_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
+        lines += 1
+        head_bytes += len(line)
+        if lines > MAX_HEADER_LINES:
+            raise ProtocolError(
+                f"more than {MAX_HEADER_LINES} header lines"
+            )
+        if head_bytes > MAX_HEAD_BYTES:
+            raise ProtocolError(
+                f"more than {MAX_HEAD_BYTES} header bytes"
+            )
         text = line.decode("latin-1").rstrip("\r\n")
         if ":" not in text:
             raise ProtocolError(f"malformed header line: {text!r}")
@@ -324,6 +374,56 @@ async def read_http_message(
     )
 
 
+async def answer_http(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    routes: dict[tuple[str, str], Callable[[HttpMessage], Awaitable]],
+    telemetry: Telemetry,
+    first_line: bytes | None = None,
+) -> None:
+    """Read one HTTP request (from its first line unless the caller
+    consumed that), route it by ``(method, path)``, write the answer.
+
+    A malformed request is a 400 counted in ``protocol_errors``; a path
+    in the table under another method is 405, any other path 404.  A
+    connection that closes before sending anything gets no answer.
+    """
+    try:
+        if first_line is None:
+            first_line = await _head_line(reader)
+            if not first_line:
+                return
+        message = await read_http_message(reader, first_line)
+    except (ProtocolError, asyncio.IncompleteReadError) as exc:
+        telemetry.increment("protocol_errors")
+        writer.write(http_response(400, {"error": str(exc)}))
+        writer.write_eof()
+        with suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(_discard(reader), LINGER_SECONDS)
+        return
+    route = routes.get((message.method, message.path))
+    if route is not None:
+        status, payload = await route(message)
+    elif any(path == message.path for _, path in routes):
+        status, payload = 405, {
+            "error": f"{message.method} not allowed on {message.path}"
+        }
+    else:
+        status, payload = 404, {"error": f"no route {message.path}"}
+    writer.write(http_response(status, payload))
+    await writer.drain()
+
+
+async def _discard(reader: asyncio.StreamReader) -> None:
+    """Read and drop input until EOF, at most :data:`MAX_BODY_BYTES`."""
+    discarded = 0
+    while discarded < MAX_BODY_BYTES:
+        chunk = await reader.read(MAX_LINE_BYTES)
+        if not chunk:
+            return
+        discarded += len(chunk)
+
+
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
@@ -335,21 +435,27 @@ _STATUS_TEXT = {
 }
 
 
-def http_response(
-    status: int, payload: dict | str, *, content_type: str | None = None
-) -> bytes:
+def reload_rejection(error: Exception, reason: str, version: int) -> dict:
+    """The ``POST /reload`` answer for a refused candidate: why, and
+    the generation that keeps serving."""
+    return {
+        "error": str(error), "reason": reason, "rejected": True,
+        "version": version,
+    }
+
+
+def http_response(status: int, payload: dict | str) -> bytes:
     """Serialize a one-shot HTTP response (connection closes after).
 
-    A dict payload renders as JSON; a string payload is sent verbatim
-    as ``text/plain`` (the ``/metrics`` exposition route) unless
-    ``content_type`` says otherwise.
+    A dict payload renders as JSON; a string payload is the
+    ``/metrics`` route's Prometheus text exposition, sent verbatim.
     """
     if isinstance(payload, str):
         body = payload.encode()
-        media = content_type or "text/plain; charset=utf-8"
+        media = CONTENT_TYPE
     else:
         body = json.dumps(payload, indent=1).encode()
-        media = content_type or "application/json"
+        media = "application/json"
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
         f"Content-Type: {media}\r\n"

@@ -210,28 +210,30 @@ class SignatureStore:
             raise self._reject(f"rejected signature swap: {exc}") from exc
         return self.swap_detector(self._build(signature_set), source=source)
 
-    def reload_from_path(self, path: str | None = None) -> StoreVersion:
-        """Reload from ``path`` (or the configured default) and publish.
+    def reload_input(self, body: str = "") -> tuple[str, str]:
+        """The signature JSON a reload names, and its source label:
+        ``body`` itself when it has content (``inline``), else the
+        configured path's file.  Nothing is parsed or published here.
 
         Raises:
-            StoreError: when no path is configured or the file is
-                missing/invalid; the current version keeps serving.
+            StoreError: no path configured (``config``) or the file is
+                unreadable (``io``); the current version keeps serving.
         """
-        target = path or self.path
-        if target is None:
+        if body.strip():
+            return body, "inline"
+        if self.path is None:
             raise self._reject(
-                "no signature path configured; this store was mounted "
-                "with a static detector",
+                "no signature path configured; POST a signature JSON "
+                "body",
                 reason="config",
             )
         try:
-            with open(target) as handle:
-                text = handle.read()
+            with open(self.path) as handle:
+                return handle.read(), f"file:{self.path}"
         except OSError as exc:
             raise self._reject(
-                f"cannot read {target}: {exc}", reason="io"
+                f"cannot read {self.path}: {exc}", reason="io"
             ) from exc
-        return self.swap_json(text, source=f"file:{target}")
 
     # -- two-phase staging (fleet reload protocol) ---------------------
 

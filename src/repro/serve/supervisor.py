@@ -32,7 +32,8 @@ The supervisor owns everything the shards must agree on:
 
 The control plane itself is a small HTTP server on its own port
 (``/healthz``, ``/stats``, ``/metrics``, ``/reload``, ``/shards``),
-speaking the same one-shot dialect as the single-process gateway.
+answered by the same :func:`~repro.serve.protocol.answer_http` as the
+single-process gateway's; only the route bodies are the fleet's own.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ import signal
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from repro.core.signature import SignatureSet
 from repro.ids.engine import Detector
-from repro.obs.prometheus import CONTENT_TYPE, render_exposition
+from repro.obs.prometheus import render_exposition
 from repro.obs.registry import MetricsRegistry
 from repro.serve.fleet import (
     PROBE_PAYLOADS,
@@ -58,12 +59,8 @@ from repro.serve.fleet import (
     reuseport_available,
     shard_entry,
 )
-from repro.serve.protocol import (
-    ProtocolError,
-    http_response,
-    is_http_request_line,
-    read_http_message,
-)
+from repro.serve.gateway import GatewayConfig
+from repro.serve.protocol import HttpMessage, answer_http, reload_rejection
 from repro.serve.store import SignatureStore, StoreError
 from repro.serve.telemetry import (
     Telemetry,
@@ -79,43 +76,29 @@ class FleetError(RuntimeError):
 
 
 @dataclass
-class FleetConfig:
+class FleetConfig(GatewayConfig):
     """Tunables of one fleet.
+
+    Every :class:`~repro.serve.gateway.GatewayConfig` field keeps its
+    meaning: ``host`` binds both planes, ``port`` is the shared data
+    port, ``allow_reload`` gates the supervisor's ``POST /reload``, and
+    the rest apply to each shard's gateway.  Fleet-only fields:
 
     Attributes:
         shards: worker process count.
-        host: bind address for both planes.
-        port: shared data port (0 picks an ephemeral one).
         control_port: control-plane HTTP port (0 picks one).
-        queue_bound: per-shard admission queue capacity.
-        policy: per-shard backpressure policy.
-        max_inflight_per_connection: pipelining window per connection.
-        drain_timeout: per-shard drain deadline at shutdown (seconds).
-        cost_threshold: ``cost`` policy shed threshold.
-        high_water: ``cost`` policy congestion fraction.
         respawn: revive dead shards.
         max_respawns: per-slot revival budget; a slot that keeps dying
             is left down (the rest of the fleet keeps serving).
         signature_path: default signature JSON for body-less
             ``POST /reload``.
-        surfaces: default injection-surface selection spec for framed
-            requests that do not name one (``repro serve --surfaces``).
     """
 
     shards: int = 2
-    host: str = "127.0.0.1"
-    port: int = 0
     control_port: int = 0
-    queue_bound: int = 1024
-    policy: str = "block"
-    max_inflight_per_connection: int = 64
-    drain_timeout: float = 10.0
-    cost_threshold: float = 256.0
-    high_water: float = 0.5
     respawn: bool = True
     max_respawns: int = 3
     signature_path: str | None = None
-    surfaces: str = "query,form"
 
 
 @dataclass
@@ -193,6 +176,14 @@ class FleetSupervisor:
         self._shared_listener: socket.socket | None = None
         self._data_host = self.config.host
         self._data_port = self.config.port
+        self._shard_config: GatewayConfig | None = None  # set by start()
+        self._routes = {
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/stats"): self._stats,
+            ("GET", "/metrics"): self._metrics,
+            ("GET", "/shards"): self._shards,
+            ("POST", "/reload"): self._reload,
+        }
         self._control_server: asyncio.base_events.Server | None = None
         self._monitor_task: asyncio.Task | None = None
         self._reload_lock: asyncio.Lock | None = None
@@ -254,6 +245,9 @@ class FleetSupervisor:
             self._shared_listener.listen(128)
             sockname = self._shared_listener.getsockname()
         self._data_host, self._data_port = sockname[0], sockname[1]
+        self._shard_config = replace(
+            self.config, port=self._data_port, allow_reload=False
+        )
         try:
             for handle in self.handles:
                 self._spawn(handle)
@@ -289,21 +283,10 @@ class FleetSupervisor:
         boot = ShardBoot(
             shard_id=handle.shard_id,
             detector=current.detector,
+            gateway=self._shard_config,
             generation=current.version,
             source=current.source,
-            host=self.config.host,
-            port=self._data_port,
-            reuseport=self._shared_listener is None,
             listen_socket=self._shared_listener,
-            queue_bound=self.config.queue_bound,
-            policy=self.config.policy,
-            max_inflight_per_connection=(
-                self.config.max_inflight_per_connection
-            ),
-            drain_timeout=self.config.drain_timeout,
-            cost_threshold=self.config.cost_threshold,
-            high_water=self.config.high_water,
-            surfaces=self.config.surfaces,
             close_fds=close_fds,
         )
         process = self._ctx.Process(
@@ -422,7 +405,7 @@ class FleetSupervisor:
             f"{self._data_host}:{self._data_port} "
             f"(control {control_host}:{control_port}, "
             f"queue={self.config.queue_bound}/shard, "
-            f"policy={self.config.policy})"
+            f"policy={self.config.policy.value})"
         )
         loop = asyncio.get_running_loop()
         stop_requested = asyncio.Event()
@@ -507,16 +490,22 @@ class FleetSupervisor:
                 future, timeout or self._TIMEOUTS.get(command, 30.0)
             )
         except asyncio.TimeoutError:
-            handle.pending.pop(message["id"], None)
             raise FleetError(
                 f"shard {handle.shard_id} did not answer {command!r} "
                 "in time"
             ) from None
         except (BrokenPipeError, OSError) as exc:
-            handle.pending.pop(message["id"], None)
             raise FleetError(
                 f"shard {handle.shard_id} pipe failed: {exc}"
             ) from exc
+        finally:
+            # An abandoned future may still be failed by the shard's
+            # death; settle it so nothing logs a never-retrieved error.
+            handle.pending.pop(message["id"], None)
+            if not future.done():
+                future.cancel()
+            elif not future.cancelled():
+                future.exception()
         if not reply.get("ok"):
             raise FleetError(
                 f"shard {handle.shard_id} rejected {command!r}: "
@@ -761,39 +750,13 @@ class FleetSupervisor:
         ).set(float(self.store.version))
         return render_exposition(registry)
 
-    # -- control-plane HTTP --------------------------------------------
+    # -- control plane (routes of protocol.answer_http) ---------------
 
     async def _handle_control(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            first = await reader.readline()
-            if not first:
-                return
-            if not is_http_request_line(first):
-                writer.write(
-                    http_response(
-                        400,
-                        {"error": "control plane speaks HTTP only; "
-                                  "payload lines go to the data port"},
-                    )
-                )
-                await writer.drain()
-                return
-            try:
-                message = await read_http_message(reader, first)
-            except (ProtocolError, asyncio.IncompleteReadError) as exc:
-                writer.write(http_response(400, {"error": str(exc)}))
-                await writer.drain()
-                return
-            status, payload = await self._route(message)
-            content_type = (
-                CONTENT_TYPE if isinstance(payload, str) else None
-            )
-            writer.write(
-                http_response(status, payload, content_type=content_type)
-            )
-            await writer.drain()
+            await answer_http(reader, writer, self._routes, self.telemetry)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -803,90 +766,55 @@ class FleetSupervisor:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _route(self, message) -> tuple[int, dict | str]:
-        method, path = message.method, message.path
-        if path == "/healthz" and method == "GET":
-            live = len(self.live_handles())
-            current = self.store.current()
-            return (200 if live else 503), {
-                "status": "ok" if live == len(self.handles) else (
-                    "degraded" if live else "down"
-                ),
-                "detector": current.detector.name,
-                "version": current.version,
-                "shards": len(self.handles),
-                "live": live,
-            }
-        if path == "/stats" and method == "GET":
-            return 200, await self.stats()
-        if path == "/metrics" and method == "GET":
-            return 200, await self.metrics()
-        if path == "/shards" and method == "GET":
-            return 200, {
-                "data_port": self._data_port,
-                "reuseport": self._shared_listener is None,
-                "shards": [
-                    {
-                        "shard_id": handle.shard_id,
-                        "pid": handle.pid,
-                        "alive": handle.alive,
-                        "serving": handle.serving,
-                        "respawns": handle.respawns,
-                    }
-                    for handle in self.handles
-                ],
-            }
-        if path == "/reload" and method == "POST":
-            return await self._route_reload(message.body)
-        if path in ("/healthz", "/stats", "/metrics", "/shards", "/reload"):
-            return 405, {"error": f"{method} not allowed on {path}"}
-        return 404, {"error": f"no route {path}"}
+    async def _healthz(self, message: HttpMessage) -> tuple[int, dict]:
+        live = len(self.live_handles())
+        current = self.store.current()
+        return (200 if live else 503), {
+            "status": "ok" if live == len(self.handles) else (
+                "degraded" if live else "down"
+            ),
+            "detector": current.detector.name,
+            "version": current.version,
+            "shards": len(self.handles),
+            "live": live,
+        }
 
-    async def _route_reload(self, body: str) -> tuple[int, dict]:
-        text = body.strip()
-        source = "inline"
-        if not text:
-            target = self.config.signature_path
-            if target is None:
-                self.telemetry.increment("reload_failures")
-                self.telemetry.increment("reload_rejected")
-                return 400, {
-                    "error": "no signature path configured; POST a "
-                             "signature JSON body",
-                    "reason": "config",
-                    "rejected": True,
-                    "version": self.store.version,
+    async def _stats(self, message: HttpMessage) -> tuple[int, dict]:
+        return 200, await self.stats()
+
+    async def _metrics(self, message: HttpMessage) -> tuple[int, str]:
+        return 200, await self.metrics()
+
+    async def _shards(self, message: HttpMessage) -> tuple[int, dict]:
+        return 200, {
+            "data_port": self._data_port,
+            "reuseport": self._shared_listener is None,
+            "shards": [
+                {
+                    "shard_id": handle.shard_id,
+                    "pid": handle.pid,
+                    "alive": handle.alive,
+                    "serving": handle.serving,
+                    "respawns": handle.respawns,
                 }
-            try:
-                with open(target) as handle:
-                    text = handle.read()
-            except OSError as exc:
-                self.telemetry.increment("reload_failures")
-                self.telemetry.increment("reload_rejected")
-                return 400, {
-                    "error": f"cannot read {target}: {exc}",
-                    "reason": "io",
-                    "rejected": True,
-                    "version": self.store.version,
-                }
-            source = f"file:{target}"
+                for handle in self.handles
+            ],
+        }
+
+    async def _reload(self, message: HttpMessage) -> tuple[int, dict]:
+        if not self.config.allow_reload:
+            return 403, {
+                "error": "reload is disabled on this fleet "
+                         "(allow_reload=False)",
+                "version": self.store.version,
+            }
         try:
-            result = await self.reload_json(text, source=source)
+            text, source = self.store.reload_input(message.body)
+            return 200, await self.reload_json(text, source=source)
         except StoreError as exc:
-            return 400, {
-                "error": str(exc),
-                "reason": exc.reason,
-                "rejected": True,
-                "version": self.store.version,
-            }
+            return 400, reload_rejection(exc, exc.reason, self.version)
         except FleetError as exc:
-            return 502, {
-                "error": str(exc),
-                "reason": "fleet",
-                "rejected": True,
-                "version": self.store.version,
-            }
-        return 200, result
+            return 502, reload_rejection(exc, "fleet", self.version)
 
     # -- convenience ---------------------------------------------------
 

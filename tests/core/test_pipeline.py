@@ -12,6 +12,7 @@ class TestConfigValidation:
         ("n_attack_samples", -5),
         ("n_benign_train", 0),
         ("workers", 0),
+        ("max_cluster_rows", 3),
         ("assignment_radius_quantile", 0.0),
         ("assignment_radius_quantile", 1.5),
         ("assignment_radius_quantile", float("nan")),
@@ -23,7 +24,7 @@ class TestConfigValidation:
     def test_boundary_settings_are_accepted(self):
         config = PipelineConfig(
             n_attack_samples=1, n_benign_train=1, workers=1,
-            assignment_radius_quantile=1.0,
+            max_cluster_rows=4, assignment_radius_quantile=1.0,
         )
         assert config.assignment_radius_quantile == 1.0
 

@@ -7,7 +7,9 @@ killed with SIGKILL, and the respawn that follows.
 """
 
 import asyncio
+import gc
 import json
+import logging
 import os
 import signal
 import time
@@ -480,3 +482,119 @@ class TestFleetResilience:
                 await supervisor.stop()
 
         asyncio.run(scenario())
+
+
+class DiesInShards(DeterministicRuleSet):
+    """A detector that ends any forked shard the moment it is mounted
+    (the store reads ``signature_set`` to warm it)."""
+
+    def __init__(self):
+        super().__init__("doomed", [Rule(1, "union", r"union\s+select")])
+        self.parent_pid = os.getpid()
+
+    @property
+    def signature_set(self):
+        if os.getpid() != self.parent_pid:
+            os._exit(1)
+        return None
+
+
+class TestFleetSettings:
+    def test_bad_surfaces_fail_in_the_parent(self):
+        # Parsed where the config is built, so no shard is ever forked
+        # with a selection it cannot read.
+        with pytest.raises(ValueError, match="unknown surface 'bogus'"):
+            FleetConfig(shards=1, surfaces="bogus")
+
+    def test_shard_death_at_boot_leaves_nothing_stray(self, caplog):
+        async def scenario():
+            supervisor = FleetSupervisor(DiesInShards(), fleet_config(
+                shards=1, respawn=False,
+            ))
+            with pytest.raises(FleetError, match="shard 0"):
+                await supervisor.start()
+            assert supervisor.live_handles() == []
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(scenario())
+            gc.collect()
+        assert not [
+            record for record in caplog.records
+            if "never retrieved" in record.getMessage()
+        ]
+
+    def test_allow_reload_false_forbids_fleet_reload(self):
+        async def scenario():
+            supervisor = FleetSupervisor(toy_detector(), fleet_config(
+                shards=1, allow_reload=False,
+            ))
+            await supervisor.start()
+            chost, cport = supervisor.control_address
+            try:
+                result = await http(chost, cport, "POST", "/reload", "{}")
+            finally:
+                await supervisor.stop()
+            return result, supervisor.version
+
+        (status, body), version = asyncio.run(scenario())
+        assert status == 403
+        assert body["version"] == 1 and version == 1
+
+
+class TestFleetControlPlaneInput:
+    def test_hostile_heads_are_answered_400_and_counted(self):
+        from tests.serve.test_gateway_errors import raw_http
+
+        async def scenario():
+            supervisor = FleetSupervisor(
+                toy_detector(), fleet_config(shards=1)
+            )
+            await supervisor.start()
+            chost, cport = supervisor.control_address
+            try:
+                answers = [
+                    await raw_http(chost, cport, raw) for raw in (
+                        b"GET /healthz HTTP/1.1\r\nX-Big: "
+                        + b"a" * 300_000 + b"\r\n\r\n",
+                        b"GET /" + b"a" * 300_000 + b" HTTP/1.1\r\n\r\n",
+                        b"id=1 union select x\n",
+                    )
+                ]
+                health = await http(chost, cport, "GET", "/healthz")
+            finally:
+                await supervisor.stop()
+            return answers, health, supervisor.telemetry.counter(
+                "protocol_errors"
+            )
+
+        answers, (health_status, _), errors = asyncio.run(scenario())
+        assert [status for status, _ in answers] == [400, 400, 400]
+        assert "too long" in answers[0][1]["error"]
+        assert "too long" in answers[1][1]["error"]
+        assert "HTTP only" in answers[2][1]["error"]
+        assert errors == 3
+        assert health_status == 200
+
+    def test_reload_input_rejections(self, tmp_path):
+        """A body-less reload reads the configured file through the
+        store: no path is ``config``, a missing file is ``io``."""
+        async def scenario(signature_path):
+            supervisor = FleetSupervisor(toy_detector(), fleet_config(
+                shards=1, signature_path=signature_path,
+            ))
+            await supervisor.start()
+            chost, cport = supervisor.control_address
+            try:
+                return await http(chost, cport, "POST", "/reload")
+            finally:
+                await supervisor.stop()
+
+        for path, reason in (
+            (None, "config"), (str(tmp_path / "missing.json"), "io"),
+        ):
+            status, body = asyncio.run(scenario(path))
+            assert status == 400
+            assert body == {
+                "error": body["error"], "reason": reason,
+                "rejected": True, "version": 1,
+            }

@@ -11,9 +11,15 @@ mounted signature generation all survive the bad request.
 import asyncio
 import json
 
+import pytest
+
 from repro.ids import DeterministicRuleSet, Rule
 from repro.serve import DetectionGateway, GatewayConfig, SignatureStore
-from repro.serve.protocol import MAX_LINE_BYTES
+from repro.serve.protocol import (
+    MAX_HEAD_BYTES,
+    MAX_HEADER_LINES,
+    MAX_LINE_BYTES,
+)
 
 from tests.serve.test_gateway import http, send_lines
 
@@ -99,6 +105,68 @@ class TestMalformedControlPlane:
         response, (after_status, _) = asyncio.run(scenario())
         assert response.split()[1] == b"400"
         assert after_status == 200
+
+    def test_header_line_past_the_stream_limit_gets_400(self):
+        # 300,000 bytes is past the gateway's stream limit: the head
+        # reader must answer and count it, not hand the overrun to the
+        # event loop and close with an empty reply.
+        async def scenario():
+            gateway = DetectionGateway(SignatureStore(toy_detector()))
+            host, port = await gateway.start()
+            result = await raw_http(
+                host, port,
+                b"GET /healthz HTTP/1.1\r\nX-Big: "
+                + b"a" * 300_000 + b"\r\n\r\n",
+            )
+            after = await http(host, port, "GET", "/healthz")
+            await gateway.stop()
+            return result, after, gateway.telemetry.counter(
+                "protocol_errors"
+            )
+
+        (status, body), (after_status, _), errors = asyncio.run(scenario())
+        assert status == 400
+        assert "too long" in body["error"]
+        assert errors == 1
+        assert after_status == 200
+
+    @pytest.mark.parametrize("line_size, limit, error", [
+        # 101 short lines: one line too many.
+        (1, MAX_HEADER_LINES, f"more than {MAX_HEADER_LINES} header lines"),
+        # 5 lines that each fit the stream limit but together pass the
+        # head byte cap; 3 of them fit.
+        (MAX_HEAD_BYTES // 4, 3, f"more than {MAX_HEAD_BYTES} header bytes"),
+    ], ids=["lines", "bytes"])
+    def test_head_past_its_cap_gets_400(self, line_size, limit, error):
+        lines = [
+            b"X-H%d: " % index + b"v" * line_size + b"\r\n"
+            for index in range(limit + 2)
+        ]
+
+        async def scenario():
+            gateway = DetectionGateway(SignatureStore(toy_detector()))
+            host, port = await gateway.start()
+            result = await raw_http(
+                host, port,
+                b"GET /healthz HTTP/1.1\r\n" + b"".join(lines) + b"\r\n",
+            )
+            allowed = await raw_http(
+                host, port,
+                b"GET /healthz HTTP/1.1\r\n" + b"".join(lines[:limit])
+                + b"\r\n",
+            )
+            await gateway.stop()
+            return result, allowed, gateway.telemetry.counter(
+                "protocol_errors"
+            )
+
+        (status, body), (allowed_status, _), errors = asyncio.run(
+            scenario()
+        )
+        assert status == 400
+        assert error in body["error"]
+        assert allowed_status == 200
+        assert errors == 1
 
 
 class TestOversizedDataPlane:

@@ -24,8 +24,8 @@ class TestStaticStore:
 
     def test_reload_without_path_fails(self):
         store = SignatureStore(toy_detector())
-        with pytest.raises(StoreError):
-            store.reload_from_path()
+        with pytest.raises(StoreError, match="no signature path"):
+            store.reload_input()
         assert store.version == 1
 
     def test_swap_detector_bumps_version(self):
@@ -99,7 +99,8 @@ class TestSignatureSwap:
         path = tmp_path / "signatures.json"
         path.write_text(signature_set_to_json(small_signatures))
         store = SignatureStore.from_file(str(path))
-        published = store.reload_from_path()
+        text, source = store.reload_input()
+        published = store.swap_json(text, source=source)
         assert published.version == 2
         assert published.source == f"file:{path}"
 
@@ -107,8 +108,8 @@ class TestSignatureSwap:
         store = SignatureStore(
             PSigeneDetector(small_signatures), path="/nonexistent.json"
         )
-        with pytest.raises(StoreError):
-            store.reload_from_path()
+        with pytest.raises(StoreError, match="cannot read"):
+            store.reload_input()
         assert store.version == 1
 
     def test_reload_counter(self, small_signatures):

@@ -180,7 +180,7 @@ class TestLoadgenCommand:
 
 
 class TestParser:
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("command", ["train", "eval", "score"])
     def test_zero_workers_exit_before_any_work(self, command, monkeypatch):
         from repro.core import PSigenePipeline
 
@@ -199,3 +199,66 @@ class TestParser:
     def test_unknown_command_errors(self):
         with pytest.raises(SystemExit):
             main(["explode"])
+
+
+_DETECTORS = ("psigene", "modsecurity", "snort", "snort-et", "bro")
+_POLICIES = ("block", "shed", "cost")
+
+#: Every serve/loadgen option as (flags, dest, default, choices, type):
+#: the serving commands build their configs from these, so a flag that
+#: goes missing or changes its default changes what gets deployed.
+SERVING_OPTIONS = {
+    "serve": [
+        (("-s", "--signatures"), "signatures", "signatures.json", None, None),
+        (("--surfaces",), "surfaces", "query,form", None, None),
+        (("--detector",), "detector", "psigene", _DETECTORS, None),
+        (("--queue-bound",), "queue_bound", 1024, None, int),
+        (("--policy",), "policy", "block", _POLICIES, None),
+        (("--host",), "host", "127.0.0.1", None, None),
+        (("--port",), "port", 9037, None, int),
+        (("--max-inflight",), "max_inflight", 64, None, int),
+        (("--shards",), "shards", 1, None, int),
+        (("--control-port",), "control_port", 0, None, int),
+    ],
+    "loadgen": [
+        (("--seed",), "seed", 2012, None, int),
+        (("-s", "--signatures"), "signatures", "signatures.json", None, None),
+        (("--surfaces",), "surfaces", "query,form", None, None),
+        (("--detector",), "detector", "psigene", _DETECTORS, None),
+        (("--queue-bound",), "queue_bound", 1024, None, int),
+        (("--policy",), "policy", "block", _POLICIES, None),
+        (("--requests",), "requests", 2000, None, int),
+        (("--connections",), "connections", 8, None, int),
+        (("--window",), "window", 32, None, int),
+        (("--benign",), "benign", 800, None, int),
+        (("--vulnerabilities",), "vulnerabilities", 12, None, int),
+        (("--check-parity", "--no-check-parity"), "check_parity", True,
+         None, None),
+        (("--framed",), "framed", False, None, None),
+        (("--shards",), "shards", 1, None, int),
+        (("--rate",), "rate", None, None, float),
+        (("--slo-ms",), "slo_ms", 50.0, None, float),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SERVING_OPTIONS))
+def test_serving_options_are_pinned(command):
+    """Compares parser structure, not ``--help`` text (whose layout
+    differs across Python versions)."""
+    import argparse
+
+    parser = build_parser()
+    commands = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = [
+        (
+            tuple(action.option_strings), action.dest, action.default,
+            tuple(action.choices) if action.choices else None, action.type,
+        )
+        for action in commands.choices[command]._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+    assert options == SERVING_OPTIONS[command]
