@@ -11,19 +11,25 @@ bench suite in minutes.  EXPERIMENTS.md records a full-scale run.
 Every bench writes two artifacts: a human-readable text table via
 ``record`` and a schema-versioned ``BENCH_<slug>.json`` via ``emit``
 (the shared :mod:`repro.bench` writer), so the whole evaluation has a
-machine-readable trajectory that ``scripts/ci_bench_guard.py`` floors
-and ``scripts/reproduce_all.py`` folds into ``SUMMARY.json``.  Both
-honour the ``REPRO_BENCH_RESULTS_DIR`` override.
+machine-readable trajectory that ``scripts/reproduce_all.py`` folds
+into ``SUMMARY.json``.  Both honour the ``REPRO_BENCH_RESULTS_DIR``
+override.  ``emit`` then holds the result to its module's ``FLOORS``,
+the declarations ``scripts/ci_bench_guard.py`` also collects.
 """
 
 import os
 
 import pytest
 
-from repro.bench import BenchResult, corpus_digest, results_dir, write_artifact
+from repro.bench import (
+    BenchResult,
+    check_floors,
+    corpus_digest,
+    load_artifact,
+    results_dir,
+    write_artifact,
+)
 from repro.eval import EvaluationContext
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 try:
     import pytest_benchmark  # noqa: F401
@@ -92,13 +98,16 @@ def record():
     return _write
 
 
-@pytest.fixture(scope="session")
-def emit():
-    """Writer that saves one ``BENCH_<slug>.json`` per bench result."""
+@pytest.fixture
+def emit(request):
+    """Writer that saves one ``BENCH_<slug>.json`` per bench result,
+    then holds it to the calling module's ``FLOORS``."""
+    floors = request.module.FLOORS
 
     def _emit(result: BenchResult) -> str:
         path = write_artifact(result)
         print(f"[saved to {path}]")
+        check_floors(path, load_artifact(path), floors)
         return path
 
     return _emit

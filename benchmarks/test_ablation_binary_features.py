@@ -37,6 +37,17 @@ def _retrain_binary(context):
     return SignatureSet(signatures, normalizer=context.pipeline.normalizer)
 
 
+# The paper's direction: binary features "did not produce good results".
+# What counts buy is precision — erasing repetition structure (char()
+# runs, stacked quotes) makes benign text look more like attacks, so the
+# binarized set must not have a *better* FPR, while the count set keeps
+# comparable recall.
+FLOORS = {"ablation_binary_features": (
+    ("fpr_penalty", ">=", 0.0),
+    ("tpr_edge", ">=", -0.08),
+)}
+
+
 def test_binary_features_ablation(benchmark, bench_context, record, emit,
                                   context_corpus):
     binary_set = benchmark.pedantic(
@@ -82,11 +93,3 @@ def test_binary_features_ablation(benchmark, bench_context, record, emit,
         },
         corpus=context_corpus,
     ))
-
-    # The paper's direction: binary features "did not produce good
-    # results".  What counts buy is precision — erasing repetition
-    # structure (char() runs, stacked quotes) makes benign text look more
-    # like attacks, so the binarized set must not have a *better* FPR,
-    # while the count set keeps comparable recall.
-    assert counts.fpr <= binary.fpr
-    assert counts.tpr >= binary.tpr - 0.08

@@ -34,6 +34,14 @@ def _with_black_holes(context):
     return SignatureSet(signatures, normalizer=context.pipeline.normalizer)
 
 
+FLOORS = {"ablation_blackhole_rule": (
+    # Including the probe clusters can only add coverage...
+    ("tpr_gain", ">=", -1e-9),
+    # ...but never at a better FPR: probe signatures are noisy.
+    ("fpr_cost", ">=", 0.0),
+)}
+
+
 def test_blackhole_rule_ablation(benchmark, bench_context, record, emit,
                                  context_corpus):
     with_holes = benchmark.pedantic(
@@ -84,8 +92,3 @@ def test_blackhole_rule_ablation(benchmark, bench_context, record, emit,
         },
         corpus=context_corpus,
     ))
-
-    # Including the probe clusters can only add coverage...
-    assert included.tpr >= without.tpr - 1e-9
-    # ...but never at a better FPR: probe signatures are noisy.
-    assert included.fpr >= without.fpr

@@ -24,6 +24,14 @@ def _measure(context, signature_set):
     )
 
 
+# The empirical evidence the paper asked for: warm restarts cost a
+# fraction of the optimizer work at comparable detection quality.
+FLOORS = {"ablation_incremental_strategy": (
+    ("iteration_savings", ">=", 1),
+    ("warm_fpr", "<", 0.005),
+)}
+
+
 def test_incremental_strategy_ablation(benchmark, bench_context, record,
                                        emit, context_corpus):
     fresh = bench_context.datasets.sqlmap.subsample(0.2, seed=200)
@@ -73,8 +81,4 @@ def test_incremental_strategy_ablation(benchmark, bench_context, record,
         corpus=context_corpus,
     ))
 
-    # The empirical evidence the paper asked for: warm restarts cost a
-    # fraction of the optimizer work at comparable detection quality.
-    assert warm.newton_iterations < retrain.newton_iterations
     assert warm_tpr > retrain_tpr - 0.08
-    assert warm_fpr < 0.005

@@ -50,6 +50,15 @@ def _sweep(context):
     return rows
 
 
+FLOORS = {"ablation_regularization": (
+    # Heavier regularization shrinks the weights.
+    ("weight_shrink", ">", 0.0),
+    # All settings still detect the bulk of the attacks — the method
+    # is not knife-edge sensitive to the ridge.
+    ("min_tpr", ">", 0.5),
+)}
+
+
 def test_regularization_ablation(benchmark, bench_context, record, emit,
                                  context_corpus):
     rows = benchmark.pedantic(
@@ -91,11 +100,3 @@ def test_regularization_ablation(benchmark, bench_context, record, emit,
         data={"rows": rows},
         corpus=context_corpus,
     ))
-    # Heavier regularization shrinks the weights.
-    assert (
-        by_l2[100.0]["mean_weight_norm"]
-        < by_l2[0.01]["mean_weight_norm"]
-    )
-    # All settings still detect the bulk of the attacks — the method is
-    # not knife-edge sensitive to the ridge.
-    assert all(r["tpr"] > 0.5 for r in rows)

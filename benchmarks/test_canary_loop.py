@@ -13,8 +13,9 @@ acceptance bar names against a real 2-shard fleet on one shared port:
 
 Per-stage wall times (ingest/refresh/shadow/gate/promote), promote and
 reject outcomes, and the TPR/FPR deltas land in the committed baseline
-``results/BENCH_canary.json`` (validated by ``scripts/ci_bench_guard.py``)
-plus the human-readable ``results/canary_loop.txt``.
+``results/BENCH_canary.json`` (held to ``FLOORS``; the CI guard also
+replays its rounds through the current gate) plus the human-readable
+``results/canary_loop.txt``.
 """
 
 import asyncio
@@ -68,6 +69,16 @@ def _round_payload(completed) -> dict:
     }
 
 
+FLOORS = {"canary": (
+    ("promoted", "==", True),
+    ("promote_divergences", "==", 0),
+    ("promote_generation_step", "==", 1),
+    ("rejected_fpr_budget", "==", True),
+    ("reject_generation_step", "==", 0),
+    ("incumbent_unchanged", "==", True),
+)}
+
+
 def test_canary_loop_fleet(record, emit, tmp_path):
     state = TrainingState.train(2012)
 
@@ -87,8 +98,6 @@ def test_canary_loop_fleet(record, emit, tmp_path):
         await supervisor.start()
         try:
             promoted = await loop.run_round_fleet(supervisor)
-            assert promoted.promoted, promoted.decision.reasons
-            assert promoted.decision.shadow.divergences == []
             assert supervisor.version == promoted.generation_after
 
             before = serial_verdicts(
@@ -99,8 +108,6 @@ def test_canary_loop_fleet(record, emit, tmp_path):
                 supervisor,
                 sabotage=lambda s: s.with_threshold(SABOTAGE_THRESHOLD),
             )
-            assert not rejected.promoted
-            assert "fpr_budget" in rejected.decision.reasons
             after = serial_verdicts(
                 supervisor.store.current().detector, PROBES
             )
@@ -109,7 +116,6 @@ def test_canary_loop_fleet(record, emit, tmp_path):
                 and supervisor.store.staged_generations() == ()
                 and after == before
             )
-            assert incumbent_unchanged
             return promoted, rejected, incumbent_unchanged
         finally:
             await supervisor.stop()
@@ -124,7 +130,7 @@ def test_canary_loop_fleet(record, emit, tmp_path):
             "incumbent_unchanged": incumbent_unchanged,
         },
     }
-    baseline_path = emit(BenchResult(
+    emit(BenchResult(
         bench="canary",
         kind="extension",
         seed=2012,
@@ -133,8 +139,15 @@ def test_canary_loop_fleet(record, emit, tmp_path):
             "fresh_attacks": FRESH_ATTACKS,
             "benign_replay": BENIGN_REPLAY,
             "promoted": bool(promoted.promoted),
+            "promote_divergences": baseline["promote"]["divergences"],
+            "promote_generation_step": (
+                promoted.generation_after - promoted.generation_before
+            ),
             "rejected_fpr_budget": (
                 "fpr_budget" in rejected.decision.reasons
+            ),
+            "reject_generation_step": (
+                rejected.generation_after - rejected.generation_before
             ),
             "incumbent_unchanged": bool(incumbent_unchanged),
         },
@@ -181,4 +194,3 @@ def test_canary_loop_fleet(record, emit, tmp_path):
         f"{incumbent_unchanged}"
     )
     record("canary_loop", "\n".join(lines))
-    print(f"[saved baseline to {baseline_path}]")

@@ -10,6 +10,16 @@ from repro.bench import BenchResult
 from repro.eval import experiment2_incremental, format_table, percent
 
 
+FLOORS = {"exp2_incremental": (
+    # TPR improves by the 40% round, incrementally rather than
+    # transformatively (paper: ~2%/round)...
+    ("tpr_gain_40", ">=", 0.0),
+    ("tpr_gain_40", "<", 0.25),
+    # ...and FPR stays in the same regime.
+    ("fpr_cost_40", "<=", 0.002),
+)}
+
+
 def test_experiment2(benchmark, bench_context, record, emit, context_corpus):
     rows = benchmark.pedantic(
         experiment2_incremental, args=(bench_context,),
@@ -48,10 +58,5 @@ def test_experiment2(benchmark, bench_context, record, emit, context_corpus):
         data={"rows": rows},
         corpus=context_corpus,
     ))
-    # TPR must not degrade and should improve by the 40% round.
+    # TPR must not degrade at the 20% round.
     assert plus20["tpr_sqlmap"] >= base["tpr_sqlmap"] - 0.01
-    assert plus40["tpr_sqlmap"] >= base["tpr_sqlmap"]
-    # Improvements are incremental, not transformative (paper: ~2%/round).
-    assert plus40["tpr_sqlmap"] - base["tpr_sqlmap"] < 0.25
-    # FPR stays in the same regime.
-    assert plus40["fpr"] <= base["fpr"] + 0.002

@@ -23,11 +23,21 @@ from repro.http import Trace
 from repro.ids import PSigeneDetector
 from repro.parallel import bench_batch_extraction, bench_batch_matching
 
-# scripts/ci_bench_guard.py's floor: on the cores present, the extraction
-# fan-out may not be slower than serial.  Matching has no speed floor:
-# pool start-up outweighs the 1,200-request trace, and its measured
-# speedup straddles 1.0 from run to run.
-MIN_EXTRACTION_SPEEDUP = 1.0
+# Output is bit-identical to serial at every worker count, on two cores
+# or more; there the extraction fan-out may not be slower than serial.
+# Matching has no speed floor: pool start-up outweighs the 1,200-request
+# trace, and its measured speedup straddles 1.0 from run to run.
+FLOORS = {
+    "exp4_batch_extraction": (
+        ("identical", "==", True),
+        ("cores", ">=", 2),
+        ("measured_speedup_at_cores", ">=", 1.0),
+    ),
+    "exp4_batch_matching": (
+        ("identical", "==", True),
+        ("cores", ">=", 2),
+    ),
+}
 
 
 def _scaling_artifact(slug, points, corpus):
@@ -85,11 +95,6 @@ def test_bench_batch_extraction(benchmark, record, emit):
         corpus={"grammar_corpus": corpus_digest(payloads)},
     ))
 
-    # Parallel output is bit-identical to serial at every worker count.
-    assert all(p.identical for p in points)
-    assert points[-1].workers >= 2, "no scaling measured on one core"
-    assert points[-1].speedup >= MIN_EXTRACTION_SPEEDUP
-
 
 def test_bench_batch_matching(benchmark, bench_context, record, emit):
     """Request-axis fan-out of signature matching (run_batch)."""
@@ -110,6 +115,3 @@ def test_bench_batch_matching(benchmark, bench_context, record, emit):
         "exp4_batch_matching", points,
         corpus={"mixed_sample": corpus_digest(trace.payloads())},
     ))
-
-    assert all(p.identical for p in points)
-    assert points[-1].workers >= 2, "no scaling measured on one core"

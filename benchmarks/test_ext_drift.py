@@ -11,6 +11,18 @@ from repro.eval import format_table, percent
 from repro.eval.drift import drift_study
 
 
+FLOORS = {"ext_drift": (
+    ("epochs", "==", 3),
+    # Generalization keeps drifted traffic mostly detected even
+    # before any update...
+    ("min_tpr_before", ">", 0.5),
+    # ...and the automatic update never loses ground and ends at a
+    # high operating point.
+    ("max_update_loss", "<=", 0.05),
+    ("final_tpr_after", ">", 0.7),
+)}
+
+
 def test_drift_and_recovery(benchmark, bench_context, record, emit):
     rounds = benchmark.pedantic(
         drift_study,
@@ -67,14 +79,3 @@ def test_drift_and_recovery(benchmark, bench_context, record, emit):
             ],
         },
     ))
-
-    assert len(rounds) == 3
-    # Generalization keeps drifted traffic mostly detected even before
-    # any update...
-    assert all(r.tpr_before_update > 0.5 for r in rounds)
-    # ...and the automatic update never loses ground and ends at a high
-    # operating point.
-    assert all(
-        r.tpr_after_update >= r.tpr_before_update - 0.05 for r in rounds
-    )
-    assert rounds[-1].tpr_after_update > 0.7

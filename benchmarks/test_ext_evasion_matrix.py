@@ -18,6 +18,17 @@ from repro.ids.rulesets import (
 )
 
 
+#: Every detector's recall on the plain-payload control row.
+IDENTITY_FLOOR = 0.8
+
+FLOORS = {"ext_evasion_matrix": (
+    ("psigene_min_identity", ">=", IDENTITY_FLOOR),
+    # Normalizing detectors survive the encoding techniques.
+    ("psigene_min_evasion_recall", ">=", 0.6),
+    ("modsec_min_evasion_recall", ">=", 0.6),
+)}
+
+
 def test_evasion_matrix(benchmark, bench_context, record, emit):
     nine, _ = bench_context.psigene_sets()
     detectors = [
@@ -84,14 +95,10 @@ def test_evasion_matrix(benchmark, bench_context, record, emit):
         },
     ))
 
-    # Everyone handles the control row.
-    for name in names:
-        assert recall("identity", name) >= 0.8, name
-    # Normalizing detectors survive the encoding techniques.
-    for technique in ("double-encoding", "inline-comments", "unicode-%u",
-                      "fullwidth-unicode"):
-        assert recall(technique, "psigene") >= 0.6, technique
-        assert recall(technique, "modsecurity") >= 0.6, technique
+    # The rule-based detectors handle the control row too (psigene's is
+    # a floor).
+    for name in names[1:]:
+        assert recall("identity", name) >= IDENTITY_FLOOR, name
     # Single-decode engines lose to at least two encoding techniques.
     for detector in ("snort-et", "bro"):
         beaten = sum(

@@ -9,7 +9,9 @@ the adversarial evasion search's survival rate against the detector.
 Everything is seeded, so the committed ``results/BENCH_surfaces.json``
 is a deterministic ledger: ``scripts/ci_bench_guard.py`` recomputes the
 same configuration and fails CI when any number moves without the
-artifact being re-committed.
+artifact being re-committed.  Its acceptance bars are ``FLOORS``: the
+per-family TPR floors, FPR ceiling and legacy blindness below, the
+scanner's detection, and a cap on the evasion survival rate.
 """
 
 from repro.bench import BenchResult
@@ -50,6 +52,21 @@ FPR_CEILING = 0.02
 #: extraction must be provably blind to them (the store leg of
 #: second-order is an ordinary form POST, so it is excluded here).
 LEGACY_BLIND_FAMILIES = ("json-body", "cookie", "header", "multipart")
+
+FLOORS = {"surfaces": (
+    *((f"{fam}_tpr", ">=", floor) for fam, floor in TPR_FLOORS.items()),
+    *((f"{fam}_fpr", "<=", FPR_CEILING) for fam in TPR_FLOORS),
+    # The legacy extraction is blind to the non-form channels: the gap
+    # the redesign exists to close, measured not assumed.
+    *((f"{fam}_legacy_tpr", "==", 0.0) for fam in LEGACY_BLIND_FAMILIES),
+    # The scanner's probes: invisible to legacy, mostly caught in full.
+    ("scanner_detected_legacy", "==", 0),
+    ("scanner_rate_full", ">=", 0.6),
+    # The evasion search attacked real detections; recorded 5/19 =
+    # 0.2632, and 8 of 19 evasions surviving fails.
+    ("evasion_attacked", ">", 0),
+    ("evasion_survival_rate", "<=", 0.4),
+)}
 
 
 def measure_surfaces(detector) -> dict:
@@ -119,37 +136,18 @@ def test_surface_bench(record, emit):
     detector = train_default_detector(SEED)
     ledger = measure_surfaces(detector)
     families = ledger["families"]
-
-    # Full-surface detection clears the per-family floors, cleanly.
-    for family, floor in TPR_FLOORS.items():
-        assert families[family]["tpr"] >= floor, (
-            family, families[family]
-        )
-        assert families[family]["fpr"] <= FPR_CEILING, (
-            family, families[family]
-        )
-    # The legacy extraction is blind to the non-form channels — this is
-    # the gap the redesign exists to close, measured not assumed.
-    for family in LEGACY_BLIND_FAMILIES:
-        assert families[family]["legacy_tpr"] == 0.0, (
-            family, families[family]
-        )
-    # The scanner's probes: invisible to legacy, mostly caught in full.
-    assert ledger["scanner"]["detected_legacy"] == 0
-    assert ledger["scanner"]["rate_full"] >= 0.6
-
-    # The evasion search attacked real detections and its numbers are
-    # internally consistent; the survival rate itself is a tracked
-    # ledger value, not a hard bar — the guard pins it to the artifact.
     evasion = ledger["evasion"]
-    assert evasion["attacked"] > 0
-    assert 0.0 <= evasion["survival_rate"] <= 1.0
 
     emit(BenchResult(
         bench="surfaces",
         kind="extension",
         seed=SEED,
         metrics={
+            **{
+                f"{family}_{rate}": stats[rate]
+                for family, stats in families.items()
+                for rate in ("tpr", "fpr", "legacy_tpr")
+            },
             "family_count": FAMILY_COUNT,
             "scanner_probes": ledger["scanner"]["probes"],
             "scanner_detected_full": ledger["scanner"]["detected_full"],

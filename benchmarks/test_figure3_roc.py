@@ -12,6 +12,16 @@ from repro.bench import BenchResult
 from repro.eval import figure3_roc, format_table
 
 
+FLOORS = {"figure3_roc": (
+    # The best signatures genuinely detect within the low-FPR window.
+    ("best_partial_auc", ">", 0.02),
+    # Wide variability in signature quality (paper's first
+    # observation); recorded 0.0144, so signatures collapsing to one
+    # quality fails.
+    ("auc_spread", ">=", 0.01),
+)}
+
+
 def test_figure3(benchmark, bench_context, record, emit, context_corpus):
     curves = benchmark.pedantic(
         figure3_roc, args=(bench_context,), rounds=1, iterations=1
@@ -61,10 +71,6 @@ def test_figure3(benchmark, bench_context, record, emit, context_corpus):
 
     # One curve per signature.
     assert len(curves) == len(bench_context.result.signature_set)
-    # Wide variability in signature quality (paper's first observation).
-    assert max(aucs) > min(aucs)
-    # The best signatures genuinely detect within the low-FPR window.
-    assert max(aucs) > 0.02
     # Curves are valid: monotone TPR over sorted FPR.
     for curve in curves.values():
         order = np.argsort(curve.fpr)

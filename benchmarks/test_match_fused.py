@@ -9,8 +9,9 @@ bit-identical verdicts while doing it.
 
 Alongside the human-readable table this bench writes
 ``benchmarks/results/BENCH_matching.json``; CI's
-``scripts/ci_bench_guard.py`` fails the build if a fresh measurement
-regresses more than 15% against that committed baseline.
+``scripts/ci_bench_guard.py`` re-measures it, holds the fresh result to
+``FLOORS`` and fails the build if it regresses more than 15% against
+that committed baseline.
 """
 
 import json
@@ -18,8 +19,6 @@ import json
 from repro.bench import corpus_digest
 from repro.eval import format_table
 from repro.match import bench_fused_matching
-
-MIN_SPEEDUP = 4.4
 
 
 def measure_matching(context):
@@ -34,6 +33,15 @@ def measure_matching(context):
     payloads = [request.flat_payload() for request in requests]
     result = bench_fused_matching(nine, payloads, repeats=15)
     return result, {"payloads": corpus_digest(payloads)}
+
+
+FLOORS = {"matching": (
+    # Bit-exact parity on every payload is non-negotiable.
+    ("identical", "==", True),
+    # Half the median of the committed value and five fresh runs on
+    # a 2-vCPU VM.
+    ("speedup", ">=", 4.4),
+)}
 
 
 def test_bench_fused_matching(benchmark, bench_context, record, emit):
@@ -59,12 +67,7 @@ def test_bench_fused_matching(benchmark, bench_context, record, emit):
     record("bench_matching", table)
     emit(result.to_bench_result(seed=2012, corpus=corpus))
 
-    # Bit-exact parity on every payload is non-negotiable.
-    assert result.identical
     # The artifact CI diffs must round-trip.
     reloaded = json.loads(result.to_json())
     assert reloaded["bench"] == "matching"
     assert reloaded["metrics"]["speedup"] == round(result.speedup, 3)
-    # scripts/ci_bench_guard.py's floor: half the median of the
-    # committed value and five fresh runs on a 2-vCPU VM.
-    assert result.speedup >= MIN_SPEEDUP

@@ -19,9 +19,14 @@ from repro.serve.telemetry import Telemetry
 
 REPEATS = 5
 REQUESTS = 600
-# scripts/ci_bench_guard.py's floor: twice the median of the committed
-# value and five fresh runs on a 2-vCPU VM.
-PER_REQUEST_US_BOUND = 220.0
+
+FLOORS = {"obs_overhead": (
+    ("overhead_fraction", "<=", 0.05),
+    ("per_request_us", ">", 0.0),
+    # Twice the median of the committed value and five fresh runs on
+    # a 2-vCPU VM.
+    ("per_request_us", "<=", 220.0),
+)}
 
 
 def _min_wall_s_interleaved(
@@ -84,8 +89,8 @@ def test_instrumentation_overhead_under_5_percent(bench_context, record,
     )
     record("obs_overhead", table)
 
-    # Emit before the overhead assertion so a noisy-machine failure still
-    # records the measurement.
+    # emit writes the artifact before holding it to FLOORS, so a
+    # noisy-machine failure still records the measurement.
     emit(BenchResult(
         bench="obs_overhead",
         kind="perf",
@@ -99,11 +104,6 @@ def test_instrumentation_overhead_under_5_percent(bench_context, record,
             "overhead_fraction": round(overhead, 6),
         },
     ))
-
-    assert 0.0 < per_request_us <= PER_REQUEST_US_BOUND
-    assert overhead <= 0.05, (
-        f"instrumentation overhead {overhead * 100:.2f}% exceeds 5%"
-    )
 
     # The instrumented arm really did count: one inc per request per pass.
     inspected = instrumented.telemetry.counter("inspected")

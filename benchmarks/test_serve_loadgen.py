@@ -49,6 +49,15 @@ def detectors():
     ]
 
 
+FLOORS = {"serve_loadgen": (
+    ("parity_ok", "==", True),
+    # The 8-slot queue must shed and the 256-slot one (16
+    # connections x window 16 = 256 outstanding) must not.
+    ("tight_queue_shed_rate", ">", 0.0),
+    ("roomy_queue_shed_rate", "==", 0.0),
+)}
+
+
 def test_serve_loadgen(detectors, record, emit):
     trace = build_load_trace(seed=7, n_benign=2000, n_vulnerabilities=12)
     payloads = trace.payloads()
@@ -76,7 +85,6 @@ def test_serve_loadgen(detectors, record, emit):
                 connections=CONNECTIONS,
                 window=WINDOW,
             ))
-            assert report.parity is not None and report.parity.ok
             assert report.completed + report.shed == report.requests
             latency = report.latency_ms
             runs.append({

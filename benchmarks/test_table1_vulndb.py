@@ -11,6 +11,14 @@ from repro.bench import BenchResult
 from repro.eval import format_table, table1_vulnerability_coverage
 
 
+FLOORS = {"table1_vulndb": (
+    ("printed_rows", "==", 4),
+    ("cohort_size", ">=", 28),
+    # The paper found samples for every reviewed vulnerability.
+    ("coverage_ratio", "==", 1.0),
+)}
+
+
 def test_table1(benchmark, bench_context, record, emit):
     result = benchmark.pedantic(
         table1_vulnerability_coverage, args=(bench_context,),
@@ -40,8 +48,3 @@ def test_table1(benchmark, bench_context, record, emit):
         },
         data={"rows": result["table1_rows"]},
     ))
-
-    assert len(result["table1_rows"]) == 4
-    assert result["cohort_size"] >= 28
-    # The paper found samples for every reviewed vulnerability.
-    assert result["covered"] == result["cohort_size"]

@@ -18,6 +18,18 @@ PAPER = {
     "emerging-threats": (4231, 0.0, 99.0),
     "modsecurity": (34, 100.0, 100.0),
 }
+#: Each ruleset's metric prefix in the artifact.
+METRIC_PREFIX = {
+    "bro": "bro",
+    "snort": "snort",
+    "emerging-threats": "et",
+    "modsecurity": "modsec",
+}
+
+FLOORS = {"table4_rulesets": tuple(
+    (f"{METRIC_PREFIX[name]}_rules", "==", count)
+    for name, (count, _enabled, _regex) in PAPER.items()
+)}
 
 
 def test_table4(benchmark, record, emit):
@@ -42,14 +54,10 @@ def test_table4(benchmark, record, emit):
         kind="table",
         seed=2012,
         metrics={
-            "bro_rules": int(measured["bro"]["sqli_rules"]),
-            "snort_rules": int(measured["snort"]["sqli_rules"]),
-            "et_rules": int(
-                measured["emerging-threats"]["sqli_rules"]
-            ),
-            "modsec_rules": int(
-                measured["modsecurity"]["sqli_rules"]
-            ),
+            **{
+                f"{prefix}_rules": int(measured[name]["sqli_rules"])
+                for name, prefix in METRIC_PREFIX.items()
+            },
             "bro_avg_pattern_len": round(
                 float(measured["bro"]["avg_pattern_len"]), 3
             ),
@@ -59,9 +67,8 @@ def test_table4(benchmark, record, emit):
         },
         data={"rows": rows},
     ))
-    for name, (count, enabled, regex) in PAPER.items():
+    for name, (_count, enabled, regex) in PAPER.items():
         row = measured[name]
-        assert row["sqli_rules"] == count, name
         assert row["enabled_pct"] == pytest.approx(enabled, abs=2.0), name
         assert row["regex_pct"] == pytest.approx(regex, abs=3.0), name
 

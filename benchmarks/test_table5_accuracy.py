@@ -25,6 +25,14 @@ PAPER_ROWS = [
 ]
 
 
+FLOORS = {"table5_accuracy": (
+    ("bro_fpr", "==", 0.0),
+    ("psigene_tpr_sqlmap", ">", 0.75),
+    ("modsec_tpr_sqlmap", ">", 0.9),
+    ("snort_fpr", "<", 0.01),
+)}
+
+
 def test_table5(benchmark, bench_context, record, emit, context_corpus):
     rows = benchmark.pedantic(
         table5_accuracy, args=(bench_context,), rounds=1, iterations=1
@@ -87,12 +95,6 @@ def test_table5(benchmark, bench_context, record, emit, context_corpus):
     assert psigene["tpr_arachni"] > snort["tpr_arachni"]
 
     # -- FPR ordering -------------------------------------------------------
-    assert bro["fpr"] == 0.0
     assert snort["fpr"] > modsec["fpr"]
     assert psigene["fpr"] < snort["fpr"]
     assert psigene["fpr"] <= modsec["fpr"] + 0.0005
-
-    # -- rough magnitudes ---------------------------------------------------
-    assert psigene["tpr_sqlmap"] > 0.75
-    assert modsec["tpr_sqlmap"] > 0.9
-    assert snort["fpr"] < 0.01

@@ -1,4 +1,4 @@
-"""CI guard: every committed bench artifact must validate and hold its floor.
+"""CI guard: every committed bench artifact must validate and hold its floors.
 
 All benchmarks emit a machine-readable ``BENCH_<slug>.json`` next to their
 text table under ``benchmarks/results/`` (the shared :mod:`repro.bench`
@@ -8,26 +8,29 @@ schema).  This guard holds the tree to that ledger in three layers:
 against the ``BenchResult`` schema and be byte-identical to its canonical
 re-serialization (one writer, one byte layout — diffs stay reviewable).
 
-**Layer 2 — per-bench floors.**  Every artifact slug must appear in the
-``FLOORS`` table below and clear its floors — constant (metric, op, bound)
-triples mirroring each bench's own acceptance assertions, so a regressed
-artifact cannot be committed even when the bench run that produced it was
-skipped.  A slug with no floors entry fails (unguarded artifact); a floors
-entry with no artifact fails (missing trajectory point).
+**Layer 2 — per-bench floors.**  Each ``benchmarks/test_*.py`` declares
+its acceptance floors beside its ``emit`` call, as ``FLOORS = {slug:
+((metric, op, bound), ...)}``; the guard keeps no copy.  It collects them
+by loading every bench module (:func:`repro.bench.collect_floors`; a
+slug declared in two modules fails) and holds each committed artifact to
+its slug's floors through :func:`repro.bench.check_floors` — the check
+the bench's ``emit`` ran when it wrote the artifact, so a regressed
+artifact cannot be committed even when that bench run was skipped.  A
+slug with no floors fails (unguarded artifact); floors with no artifact
+fail (missing trajectory point).
 
-**Layer 3 — deep guards.**  Four benches get live re-measurement on top of
-the committed numbers:
+**Layer 3 — deep guards.**  Four benches get live re-measurement or
+replay on top of the committed numbers:
 
 ``BENCH_matching.json`` — the fused single-pass matcher is re-measured
 in the bench's own configuration (its context and payloads, checked by
-corpus digest); verdicts must stay bit-identical to the legacy path and
-the fresh speedup must hold 85% of the committed baseline speedup (a
-ratio of ratios — insensitive to the runner's absolute speed).
+corpus digest); the fresh result must clear the ``matching`` floors and
+hold 85% of the committed baseline speedup (a ratio of ratios —
+insensitive to the runner's absolute speed).
 
-``BENCH_serving.json`` — a live 2-shard fleet probe must serve with
-bit-exact parity and retain at least ``MIN_PROBE_EFFICIENCY`` of
-single-shard capacity, the same floor the committed artifact's measured
-``speedup_at_cores`` holds.
+``BENCH_serving.json`` — a live 2-shard fleet probe reports
+``parity_ok``, ``cores`` and ``speedup_at_cores`` (its C2/C1) and must
+clear the ``serving`` floors the committed artifact holds.
 
 ``BENCH_canary.json`` — the committed promote/reject rounds replay
 through the *current* gate implementation; both decisions must reproduce,
@@ -46,183 +49,26 @@ Usage: ``PYTHONPATH=src python scripts/ci_bench_guard.py``
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 
+from repro.bench import (
+    check_floors,
+    collect_floors,
+    dump_bench_json,
+    list_artifacts,
+    load_artifact,
+)
+from repro.bench.floors import load_bench_module
+from repro.bench.writer import BENCHMARKS_DIR
+
 BASELINE_PATH = "benchmarks/results/BENCH_matching.json"
 CANARY_BASELINE_PATH = "benchmarks/results/BENCH_canary.json"
 SURFACES_BASELINE_PATH = "benchmarks/results/BENCH_surfaces.json"
 ALLOWED_FRACTION = 0.85
-# An N-shard fleet (N <= cores) must keep this share of 1-shard capacity:
-# the committed artifact's measured speedup_at_cores and the live probe's
-# C2/C1 both hold it.
-MIN_PROBE_EFFICIENCY = 0.5
 PROBE_PAYLOAD_COUNT = 400
-
-# Per-bench regression floors: slug -> ((metric, op, bound), ...).
-# Each triple mirrors an acceptance assertion in the bench module that
-# produced the artifact; ops are the keys of FLOOR_OPS.  Derived-margin
-# metrics (e.g. ``tpr_gain_40`` = TPR(+40%) − TPR(base)) turn the
-# benches' cross-metric assertions into constant comparisons.  Timing
-# bounds marked "2x median" are twice the median of the committed value
-# and five fresh runs (half of it for a speedup), rounded to two
-# significant figures toward the passing side.
-FLOOR_OPS = {
-    ">=": lambda value, bound: value >= bound,
-    ">": lambda value, bound: value > bound,
-    "<=": lambda value, bound: value <= bound,
-    "==": lambda value, bound: value == bound,
-}
-FLOORS: dict[str, tuple[tuple[str, str, object], ...]] = {
-    "matching": (
-        ("identical", "==", True),
-        ("speedup", ">=", 4.4),  # 2x median: 8.99
-    ),
-    "serving": (
-        ("parity_ok", "==", True),
-        ("cores", ">=", 2),
-        ("speedup_at_cores", ">=", MIN_PROBE_EFFICIENCY),
-    ),
-    "canary": (
-        ("promoted", "==", True),
-        ("rejected_fpr_budget", "==", True),
-        ("incumbent_unchanged", "==", True),
-    ),
-    "surfaces": (
-        ("scanner_detected_legacy", "==", 0),
-        ("scanner_rate_full", ">=", 0.6),
-        # Recorded 5/19 = 0.2632; 8 of 19 evasions surviving fails.
-        ("evasion_survival_rate", "<=", 0.4),
-    ),
-    "exp2_incremental": (
-        ("tpr_gain_40", ">=", 0.0),
-        ("tpr_gain_40", "<=", 0.25),
-        ("fpr_cost_40", "<=", 0.002),
-    ),
-    "exp3_perdisci": (
-        ("tpr", "<=", 0.35),
-        ("fpr", "<=", 0.001),
-        ("train_gap", ">=", 0.1),
-        ("psigene_margin", ">=", 0.3),
-    ),
-    "exp4_performance": (
-        ("slowdown_vs_modsec", ">=", 1.5),
-        ("slowdown_vs_modsec", "<=", 100.0),
-        ("slowdown_vs_bro", ">=", 1.5),
-        ("psigene_max_us", "<=", 7_700.0),  # 2x median: 3,839
-    ),
-    "exp4_batch_extraction": (
-        ("identical", "==", True),
-        ("cores", ">=", 2),
-        # Fan-out may not be slower than serial on the cores present.
-        ("measured_speedup_at_cores", ">=", 1.0),
-    ),
-    "exp4_batch_matching": (
-        ("identical", "==", True),
-        ("cores", ">=", 2),
-    ),
-    "ablation_binary_features": (
-        ("fpr_penalty", ">=", 0.0),
-        ("tpr_edge", ">=", -0.08),
-    ),
-    "ablation_blackhole_rule": (
-        ("tpr_gain", ">=", -1e-6),
-        ("fpr_cost", ">=", 0.0),
-    ),
-    "ablation_incremental_strategy": (
-        ("iteration_savings", ">=", 1),
-        ("warm_fpr", "<=", 0.005),
-    ),
-    "ablation_regularization": (
-        ("weight_shrink", ">=", 0.0),
-        ("min_tpr", ">=", 0.5),
-    ),
-    "ablation_selection_rule": (
-        ("paper_biclusters", ">=", 5),
-        ("paper_coverage", ">=", 0.6),
-    ),
-    "table1_vulndb": (
-        ("printed_rows", "==", 4),
-        ("coverage_ratio", "==", 1.0),
-    ),
-    "table2_feature_sources": (
-        ("sources", "==", 3),
-        ("initial_features", "==", 477),
-        ("final_features", ">=", 80),
-        ("final_features", "<=", 250),
-    ),
-    "table3_signature_features": (
-        ("theta_consistent", "==", True),
-        ("n_features", ">=", 1),
-        ("n_features", "<=", 40),
-    ),
-    "table4_rulesets": (
-        ("bro_rules", "==", 6),
-        ("snort_rules", "==", 79),
-        ("et_rules", "==", 4231),
-        ("modsec_rules", "==", 34),
-    ),
-    "table5_accuracy": (
-        ("psigene_tpr_sqlmap", ">=", 0.75),
-        ("modsec_tpr_sqlmap", ">=", 0.9),
-        ("bro_fpr", "==", 0.0),
-        ("snort_fpr", "<=", 0.01),
-    ),
-    "table6_cluster_details": (
-        ("n_signatures", ">=", 5),
-        ("n_signatures", "<=", 9),
-        ("size_spread", ">=", 1.5),
-    ),
-    "figure2_heatmap": (
-        ("biclusters", ">=", 6),
-        ("biclusters", "<=", 11),
-        ("black_holes", ">=", 1),
-        ("black_holes", "<=", 3),
-        ("cophenetic", ">=", 0.6),
-    ),
-    "figure3_roc": (
-        ("best_partial_auc", ">=", 0.02),
-        # Recorded 0.0144: signatures collapsing to one quality fails.
-        ("auc_spread", ">=", 0.01),
-    ),
-    "figure4_cumulative_tpr": (
-        ("top_marginal", ">=", 0.1),
-        ("set_tpr", ">=", 0.7),
-    ),
-    "ext_calibration": (
-        ("ece", "<=", 0.12),
-        ("brier", "<=", 0.1),
-        ("low_bin_rate", "<=", 0.2),
-        ("high_bin_rate", ">=", 0.8),
-    ),
-    "ext_drift": (
-        ("min_tpr_before", ">=", 0.5),
-        ("final_tpr_after", ">=", 0.7),
-    ),
-    "ext_evasion_matrix": (
-        ("psigene_min_identity", ">=", 0.8),
-        ("psigene_min_evasion_recall", ">=", 0.6),
-        ("modsec_min_evasion_recall", ">=", 0.6),
-    ),
-    "serve_loadgen": (
-        ("parity_ok", "==", True),
-        # The 8-slot queue must shed and the 256-slot one (16
-        # connections x window 16 = 256 outstanding) must not.
-        ("tight_queue_shed_rate", ">", 0.0),
-        ("roomy_queue_shed_rate", "==", 0.0),
-    ),
-    "obs_overhead": (
-        ("overhead_fraction", "<=", 0.05),
-        ("per_request_us", "<=", 220.0),  # 2x median: 107.4
-    ),
-    "micro_substrates": (
-        ("normalize_us", "<=", 30.0),  # 2x median: 14.6
-        ("extract_us", "<=", 600.0),  # 2x median: 296.8
-    ),
-}
 
 
 def committed_baseline(path: str = BASELINE_PATH) -> dict | None:
@@ -242,14 +88,13 @@ def committed_baseline(path: str = BASELINE_PATH) -> dict | None:
         ) from error
 
 
-def sweep_artifacts() -> str:
+def sweep_artifacts(floors) -> str:
     """Layer 1 + 2: validate every on-disk artifact and apply its floors.
 
+    *floors* is the collected slug map (:func:`collect_floors`).
     Returns the verdict line; raises AssertionError on the first broken
-    artifact, missing floors entry, or missing artifact.
+    artifact, unguarded slug, or missing artifact.
     """
-    from repro.bench import dump_bench_json, list_artifacts, load_artifact
-
     paths = list_artifacts()
     if not paths:
         raise AssertionError(
@@ -257,6 +102,7 @@ def sweep_artifacts() -> str:
             "run scripts/reproduce_all.py"
         )
     seen: set[str] = set()
+    applied = 0
     for path in paths:
         payload = load_artifact(path)  # raises BenchSchemaError on bad shape
         with open(path, encoding="utf-8") as handle:
@@ -266,54 +112,27 @@ def sweep_artifacts() -> str:
                 f"{path} is not in canonical serialization; rewrite it "
                 f"through repro.bench.write_artifact"
             )
-        slug = payload["bench"]
-        seen.add(slug)
-        floors = FLOORS.get(slug)
-        if floors is None:
-            raise AssertionError(
-                f"{path}: bench '{slug}' has no FLOORS entry in "
-                f"scripts/ci_bench_guard.py — every artifact must be "
-                f"guarded"
-            )
-        for metric, op, bound in floors:
-            if metric not in payload["metrics"]:
-                raise AssertionError(
-                    f"{path}: floors expect metric '{metric}' which the "
-                    f"artifact does not record"
-                )
-            value = payload["metrics"][metric]
-            if not FLOOR_OPS[op](value, bound):
-                raise AssertionError(
-                    f"{path}: {metric}={value!r} violates floor "
-                    f"'{metric} {op} {bound!r}'"
-                )
-    missing = sorted(set(FLOORS) - seen)
+        seen.add(payload["bench"])
+        applied += check_floors(path, payload, floors)
+    missing = sorted(set(floors) - seen)
     if missing:
         raise AssertionError(
-            f"floors defined but artifact missing for: {', '.join(missing)}"
-            f" — run scripts/reproduce_all.py and commit the results"
+            f"floors declared but artifact missing for: "
+            f"{', '.join(missing)} — run scripts/reproduce_all.py and "
+            f"commit the results"
         )
     return (
         f"artifact sweep OK: {len(paths)} artifacts schema-valid, "
-        f"canonical, and clear of {sum(len(f) for f in FLOORS.values())} "
-        f"floors across {len(FLOORS)} benches"
+        f"canonical, and clear of {applied} floors across {len(seen)} "
+        f"benches"
     )
 
 
 def _bench_module(filename: str):
-    """A file under ``benchmarks/``, loaded as a module.
-
-    The guard reuses the benches' own measured configurations so there
-    is exactly one definition of each — a drifting copy here would make
-    "compared with the artifact" vacuous.
-    """
-    path = os.path.join("benchmarks", filename)
-    spec = importlib.util.spec_from_file_location(
-        f"_bench_{filename[:-3]}", path
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    """A bench module, for its measured configuration: the guard reuses
+    the benches' own definitions, so "compared with the artifact" is
+    never against a drifting copy."""
+    return load_bench_module(os.path.join(BENCHMARKS_DIR, filename))
 
 
 def fresh_measurement() -> dict:
@@ -333,17 +152,10 @@ def fresh_measurement() -> dict:
     return json.loads(result.to_bench_result(corpus=corpus).to_json())
 
 
-def check(baseline: dict | None, fresh: dict) -> str:
+def check(baseline: dict | None, fresh: dict, floors) -> str:
     """The guard's verdict line; raises AssertionError on regression."""
+    check_floors("fresh matching measurement", fresh, floors)
     speedup = fresh["metrics"]["speedup"]
-    if not fresh["metrics"]["identical"]:
-        raise AssertionError(
-            "fused verdicts diverged from the legacy path"
-        )
-    if speedup < 1.0:
-        raise AssertionError(
-            f"fused path is slower than legacy (speedup {speedup:.2f}x)"
-        )
     if baseline is None:
         return (
             f"bench guard OK (no committed {BASELINE_PATH} baseline): "
@@ -372,10 +184,11 @@ def serving_probe() -> dict:
     """A small live 2-shard fleet run: parity and retained capacity.
 
     Closed-loop over a slice of the deterministic replay trace, one
-    shard then two, on the same host.  Returns measured throughputs and
-    the parity verdict — cheap enough for every CI run, live enough to
-    catch a fleet that no longer serves or diverges from the offline
-    engine.
+    shard then two, on the same host.  Returns a ``serving`` payload
+    whose metrics the bench's floors bind — ``parity_ok``, ``cores``
+    (the shards probed) and ``speedup_at_cores`` (C2/C1) — cheap enough
+    for every CI run, live enough to catch a fleet that no longer
+    serves or diverges from the offline engine.
     """
     import asyncio
 
@@ -405,37 +218,28 @@ def serving_probe() -> dict:
             window=16,
         ))
     return {
-        "requests": len(payloads),
-        "c1_rps": reports[1].throughput_rps,
-        "c2_rps": reports[2].throughput_rps,
-        "parity_ok": all(
-            r.parity is not None and r.parity.ok
-            and r.completed == r.requests and r.errors == 0
-            for r in reports.values()
-        ),
+        "bench": "serving",
+        "metrics": {
+            "parity_ok": all(
+                r.parity is not None and r.parity.ok
+                and r.completed == r.requests and r.errors == 0
+                for r in reports.values()
+            ),
+            "cores": max(reports),
+            "speedup_at_cores": (
+                reports[2].throughput_rps / reports[1].throughput_rps
+            ),
+        },
     }
 
 
-def check_serving(probe: dict) -> str:
-    """Serving guard verdict; raises AssertionError on regression.
-
-    The committed ``BENCH_serving.json`` is held to the same
-    ``MIN_PROBE_EFFICIENCY`` by its ``FLOORS`` entry in the sweep.
-    """
-    if not probe["parity_ok"]:
-        raise AssertionError(
-            "fleet probe lost parity with the offline engine"
-        )
-    efficiency = probe["c2_rps"] / probe["c1_rps"]
-    if efficiency < MIN_PROBE_EFFICIENCY:
-        raise AssertionError(
-            f"2-shard fleet retains only {efficiency:.2f} of "
-            f"single-shard capacity (floor {MIN_PROBE_EFFICIENCY}): "
-            f"shard coordination overhead regressed"
-        )
+def check_serving(probe: dict, floors) -> str:
+    """Serving guard verdict; raises AssertionError on regression."""
+    check_floors("live 2-shard fleet probe", probe, floors)
     return (
-        f"serving guard OK: probe efficiency {efficiency:.2f} "
-        f">= {MIN_PROBE_EFFICIENCY}, parity OK"
+        f"serving guard OK: probe retains "
+        f"{probe['metrics']['speedup_at_cores']:.2f} of single-shard "
+        f"capacity, parity OK"
     )
 
 
@@ -458,18 +262,18 @@ def _committed_shadow(payload: dict, *, generation: int):
 
 
 def check_canary(baseline: dict | None) -> str:
-    """Canary guard verdict; raises AssertionError on any broken bar.
+    """Canary guard verdict; raises AssertionError on gate drift.
 
-    Validates the committed artifact's acceptance bars, then replays
-    the committed deltas through the current gate: the decisions must
-    reproduce.  Churn is held at zero for the replay — the committed
+    Replays the committed deltas through the current gate: both
+    decisions must reproduce (the artifact's own bars are its floors in
+    the sweep).  Churn is held at zero for the replay — the committed
     reject reason is the FPR budget, never churn, so the replay
     isolates the budget arithmetic.
     """
     if baseline is None:
         return (
             f"canary guard OK (no committed {CANARY_BASELINE_PATH} "
-            f"baseline): nothing to validate yet"
+            f"baseline): nothing to replay yet"
         )
     from repro.canary.gate import (
         ChurnReport,
@@ -482,41 +286,6 @@ def check_canary(baseline: dict | None) -> str:
     promote = ledger["promote"]
     reject = ledger["reject"]
     policy = GatePolicy(**ledger["policy"])
-    if promote["outcome"] != "promoted" or promote["reasons"]:
-        raise AssertionError(
-            f"committed {CANARY_BASELINE_PATH} promote round did not "
-            f"promote cleanly: {promote['outcome']} "
-            f"{promote['reasons']}"
-        )
-    if promote["divergences"] != 0:
-        raise AssertionError(
-            f"committed {CANARY_BASELINE_PATH} promote round saw "
-            f"{promote['divergences']} live-path divergences"
-        )
-    if promote["generation_after"] != promote["generation_before"] + 1:
-        raise AssertionError(
-            f"committed {CANARY_BASELINE_PATH} promote round did not "
-            f"advance exactly one generation"
-        )
-    if reject["outcome"] != "rejected" or (
-        "fpr_budget" not in reject["reasons"]
-    ):
-        raise AssertionError(
-            f"committed {CANARY_BASELINE_PATH} reject round is not an "
-            f"FPR-budget rejection: {reject['outcome']} "
-            f"{reject['reasons']}"
-        )
-    if not reject["incumbent_unchanged"]:
-        raise AssertionError(
-            f"committed {CANARY_BASELINE_PATH} records the rejection "
-            f"mutating the incumbent"
-        )
-    if reject["generation_after"] != reject["generation_before"]:
-        raise AssertionError(
-            f"committed {CANARY_BASELINE_PATH} reject round moved the "
-            f"live generation"
-        )
-
     zero_churn = ChurnReport(
         entries=[SignatureChurn(0, "unchanged", 0.0, 0.0)],
         incumbent_size=1,
@@ -549,11 +318,9 @@ def check_canary(baseline: dict | None) -> str:
             f"decide {replayed_reject.reasons or ['promote']}"
         )
     return (
-        f"canary guard OK: promote gen "
-        f"{promote['generation_before']}->{promote['generation_after']} "
-        f"with 0 divergences, reject held at fpr "
-        f"{reject['candidate_fpr']:.4f} > budget "
-        f"{policy.fpr_budget}, gate replay reproduces both decisions"
+        f"canary guard OK: reject held at fpr "
+        f"{reject['candidate_fpr']:.4f} > budget {policy.fpr_budget}, "
+        f"gate replay reproduces both decisions"
     )
 
 
@@ -566,33 +333,16 @@ def surfaces_measurement() -> dict:
 
 
 def check_surfaces(baseline: dict | None, fresh: dict) -> str:
-    """Surfaces guard verdict; raises AssertionError on any drift."""
-    bench = _bench_module("test_ext_surfaces.py")
-    for family, floor in bench.TPR_FLOORS.items():
-        stats = fresh["families"][family]
-        if stats["tpr"] < floor:
-            raise AssertionError(
-                f"surface family {family} TPR {stats['tpr']:.3f} "
-                f"fell below its {floor:.2f} floor"
-            )
-        if stats["fpr"] > bench.FPR_CEILING:
-            raise AssertionError(
-                f"surface family {family} FPR {stats['fpr']:.4f} "
-                f"exceeds the {bench.FPR_CEILING} ceiling"
-            )
-    for family in bench.LEGACY_BLIND_FAMILIES:
-        if fresh["families"][family]["legacy_tpr"] != 0.0:
-            raise AssertionError(
-                f"legacy extraction now sees {family} traffic "
-                f"(legacy_tpr "
-                f"{fresh['families'][family]['legacy_tpr']:.3f}); "
-                f"the blindness measurement is broken"
-            )
+    """Surfaces guard verdict; raises AssertionError on any drift.
+
+    The bars themselves are the ``surfaces`` floors on the committed
+    metrics; a fresh ledger identical to the committed one clears them.
+    """
     survival = fresh["evasion"]["survival_rate"]
     if baseline is None:
         return (
             f"surfaces guard OK (no committed {SURFACES_BASELINE_PATH} "
-            f"baseline): floors clear, evasion survival {survival:.3f}"
+            f"baseline): evasion survival {survival:.3f}"
         )
     ledger = baseline["data"]
     for section in ("families", "scanner", "evasion"):
@@ -609,18 +359,19 @@ def check_surfaces(baseline: dict | None, fresh: dict) -> str:
         f"surfaces guard OK: ledger identical to committed baseline, "
         f"evasion survival {survival:.3f} "
         f"({fresh['evasion']['evaded']}/{fresh['evasion']['attacked']} "
-        f"bases evaded), legacy-blind families hold at zero"
+        f"bases evaded)"
     )
 
 
 def main() -> int:
     """Run all guard layers; returns a process exit code."""
     try:
-        print(sweep_artifacts())
+        floors = collect_floors()
+        print(sweep_artifacts(floors))
         baseline = committed_baseline()
         fresh = fresh_measurement()
-        print(check(baseline, fresh))
-        print(check_serving(serving_probe()))
+        print(check(baseline, fresh, floors))
+        print(check_serving(serving_probe(), floors))
         print(check_canary(committed_baseline(CANARY_BASELINE_PATH)))
         print(check_surfaces(
             committed_baseline(SURFACES_BASELINE_PATH),

@@ -22,6 +22,8 @@ identical across every subcommand that takes them.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 COMMAND_EPILOG = """\
@@ -287,6 +289,8 @@ def _serving_target(detector, config):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro.serve import FleetError
+
     config = _serving_config(
         args,
         host=args.host,
@@ -309,6 +313,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         print("repro.serve: draining and shutting down")
+    except FleetError as error:
+        raise SystemExit(f"repro: {error}") from None
+    except OSError as error:
+        if error.errno != errno.EADDRINUSE:
+            raise
+        raise SystemExit(
+            f"repro: cannot listen on {config.host}:{config.port}: "
+            f"{os.strerror(error.errno)}"
+        ) from None
     return 0
 
 
@@ -486,8 +499,6 @@ def _cmd_conform_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_conform_record(args: argparse.Namespace) -> int:
-    import os
-
     from repro.conformance import (
         generate_corpus,
         serial_verdicts,

@@ -19,12 +19,13 @@ text diffs.  This package is the single definition of that artifact:
   bench measured, mirroring the canary ledger's discipline;
 - :func:`build_summary` / :func:`validate_summary` — the unified
   ``SUMMARY.json`` eval summary ``scripts/reproduce_all.py`` folds all
-  artifacts into.
-
-``scripts/ci_bench_guard.py`` validates every committed artifact
-against this schema and enforces per-bench regression floors.
+  artifacts into;
+- :func:`check_floors` / :func:`collect_floors` — the one check of the
+  ``FLOORS`` each bench module declares, run by the benches' ``emit``
+  and by ``scripts/ci_bench_guard.py`` on every committed artifact.
 """
 
+from repro.bench.floors import check_floors, collect_floors
 from repro.bench.model import (
     BENCH_KINDS,
     BENCH_SCHEMA,
@@ -56,6 +57,8 @@ __all__ = [
     "BenchSchemaError",
     "artifact_path",
     "build_summary",
+    "check_floors",
+    "collect_floors",
     "collect_provenance",
     "corpus_digest",
     "dump_bench_json",

@@ -33,17 +33,17 @@ __all__ = [
 #: Environment override for the artifact directory.
 RESULTS_DIR_ENV = "REPRO_BENCH_RESULTS_DIR"
 
-#: ``benchmarks/results`` relative to the repository root (this file
-#: lives at ``src/repro/bench/writer.py``).
-_DEFAULT_RESULTS_DIR = os.path.join(
+#: ``benchmarks/`` relative to the repository root (this file lives at
+#: ``src/repro/bench/writer.py``).
+BENCHMARKS_DIR = os.path.join(
     os.path.dirname(
         os.path.dirname(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         )
     ),
     "benchmarks",
-    "results",
 )
+_DEFAULT_RESULTS_DIR = os.path.join(BENCHMARKS_DIR, "results")
 
 
 def results_dir() -> str:

@@ -54,6 +54,7 @@ __all__ = [
     "DEFAULT_HIGH_WATER",
     "QueueClosed",
     "Shed",
+    "check_queue_settings",
 ]
 
 #: Payload cost (bytes, under the default length pricing) above which a
@@ -75,6 +76,14 @@ class BackpressurePolicy(str, enum.Enum):
 class Shed(Exception):
     """Raised by :meth:`AdmissionController.submit` under ``shed`` or
     ``cost`` policy when the request was refused (not admitted)."""
+
+
+def check_queue_settings(queue_bound: int, high_water: float) -> None:
+    """Reject queue settings no admission queue can run with."""
+    if queue_bound < 1:
+        raise ValueError(f"queue_bound must be >= 1, got {queue_bound}")
+    if not 0.0 < high_water <= 1.0:
+        raise ValueError(f"high_water must be in (0, 1], got {high_water}")
 
 
 class QueueClosed(Exception):
@@ -104,10 +113,7 @@ class AdmissionController:
         cost_threshold: float = DEFAULT_COST_THRESHOLD,
         high_water: float = DEFAULT_HIGH_WATER,
     ) -> None:
-        if queue_bound < 1:
-            raise ValueError(f"queue_bound must be >= 1, got {queue_bound}")
-        if not 0.0 < high_water <= 1.0:
-            raise ValueError(f"high_water must be in (0, 1], got {high_water}")
+        check_queue_settings(queue_bound, high_water)
         self.policy = BackpressurePolicy(policy)
         self.telemetry = telemetry
         self.cost_threshold = float(cost_threshold)

@@ -38,6 +38,7 @@ from repro.serve.admission import (
     BackpressurePolicy,
     QueueClosed,
     Shed,
+    check_queue_settings,
 )
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
@@ -90,8 +91,9 @@ class GatewayConfig:
             requests that do not name one (``repro serve --surfaces``);
             frames carrying an explicit ``surfaces`` field always win.
 
-    String ``policy``/``surfaces`` values are parsed here, once, so a bad
-    one fails where the config is built, before a fleet forks a shard.
+    String ``policy``/``surfaces`` values are parsed here, once, and the
+    queue settings checked, so a bad one fails where the config is
+    built, before a fleet forks a shard.
     """
 
     host: str = "127.0.0.1"
@@ -106,6 +108,7 @@ class GatewayConfig:
     surfaces: tuple[InjectionSurface, ...] | str = LEGACY_SURFACES
 
     def __post_init__(self) -> None:
+        check_queue_settings(self.queue_bound, self.high_water)
         self.policy = BackpressurePolicy(self.policy)
         if isinstance(self.surfaces, str):
             self.surfaces = parse_surfaces(self.surfaces)

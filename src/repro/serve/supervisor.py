@@ -252,12 +252,16 @@ class FleetSupervisor:
             for handle in self.handles:
                 self._spawn(handle)
                 await self._bring_up(handle)
+            try:
+                self._control_server = await asyncio.start_server(
+                    self._handle_control, self.config.host,
+                    self.config.control_port,
+                )
+            except OSError as error:  # not to be read as the data port's
+                raise FleetError(f"control plane: {error}") from error
         except BaseException:
             await self.stop()
             raise
-        self._control_server = await asyncio.start_server(
-            self._handle_control, self.config.host, self.config.control_port
-        )
         self._monitor_task = asyncio.get_running_loop().create_task(
             self._monitor()
         )

@@ -1,7 +1,8 @@
 """Every bench floor can fail.
 
-For each ``(metric, op, bound)`` triple in ``scripts/ci_bench_guard.py``
-``FLOORS``, a copy of the committed artifact bundle gets that one metric
+For each ``(metric, op, bound)`` triple the bench modules declare in
+their ``FLOORS`` (collected as ``scripts/ci_bench_guard.py`` collects
+them), a copy of the committed artifact bundle gets that one metric
 pushed just past its bound, and the guard's artifact sweep must reject
 the copy naming that metric.  A floor no value could violate — a
 misspelled metric, an inverted op, a bound the sweep never compares —
@@ -15,7 +16,13 @@ import shutil
 
 import pytest
 
-from repro.bench import dump_bench_json, list_artifacts, load_artifact
+from repro.bench import (
+    collect_floors,
+    dump_bench_json,
+    list_artifacts,
+    load_artifact,
+)
+from repro.bench.floors import FLOOR_OPS
 from repro.bench.writer import RESULTS_DIR_ENV
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
@@ -31,9 +38,10 @@ def _load_guard():
 
 
 GUARD = _load_guard()
+FLOORS = collect_floors()
 TRIPLES = [
     (slug, metric, op, bound)
-    for slug, triples in GUARD.FLOORS.items()
+    for slug, triples in FLOORS.items()
     for metric, op, bound in triples
 ]
 
@@ -43,7 +51,7 @@ def just_past(op, bound):
     if isinstance(bound, bool):
         return not bound
     step = 1 if isinstance(bound, int) else 1e-6 * max(1.0, abs(bound))
-    if op == ">":
+    if op in ("<", ">"):
         return bound
     if op == ">=":
         return bound - step
@@ -62,7 +70,7 @@ def _committed_copy(directory):
 def test_committed_bundle_clears_every_floor(tmp_path, monkeypatch):
     _committed_copy(tmp_path)
     monkeypatch.setenv(RESULTS_DIR_ENV, str(tmp_path))
-    assert GUARD.sweep_artifacts().startswith("artifact sweep OK")
+    assert GUARD.sweep_artifacts(FLOORS).startswith("artifact sweep OK")
 
 
 @pytest.mark.parametrize(
@@ -77,13 +85,13 @@ def test_floor_fails_just_past_its_bound(
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     value = just_past(op, bound)
-    assert not GUARD.FLOOR_OPS[op](value, bound)
+    assert not FLOOR_OPS[op](value, bound)
     payload["metrics"][metric] = value
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(dump_bench_json(payload))
     monkeypatch.setenv(RESULTS_DIR_ENV, str(tmp_path))
     with pytest.raises(AssertionError) as excinfo:
-        GUARD.sweep_artifacts()
+        GUARD.sweep_artifacts(FLOORS)
     message = str(excinfo.value)
     assert f"{metric}={value!r} violates floor" in message, message
     assert os.path.basename(path) in message, message

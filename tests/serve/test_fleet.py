@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import signal
+import socket
 import time
 
 import pytest
@@ -505,6 +506,31 @@ class TestFleetSettings:
         # with a selection it cannot read.
         with pytest.raises(ValueError, match="unknown surface 'bogus'"):
             FleetConfig(shards=1, surfaces="bogus")
+
+    def test_bad_queue_settings_fail_in_the_parent(self):
+        # Checked by the same function the shard's admission queue runs.
+        with pytest.raises(ValueError, match="queue_bound must be >= 1"):
+            FleetConfig(shards=1, queue_bound=0)
+        with pytest.raises(ValueError, match=r"high_water must be in"):
+            FleetConfig(shards=1, high_water=1.5)
+
+    def test_taken_control_port_stops_every_shard(self):
+        async def scenario():
+            with socket.socket() as holder:
+                holder.bind(("127.0.0.1", 0))
+                holder.listen(1)
+                supervisor = FleetSupervisor(toy_detector(), fleet_config(
+                    shards=1, control_port=holder.getsockname()[1],
+                ))
+                with pytest.raises(FleetError, match="^control plane: "):
+                    await supervisor.start()
+            assert supervisor.live_handles() == []
+            assert all(
+                not handle.process.is_alive()
+                for handle in supervisor.handles
+            )
+
+        asyncio.run(scenario())
 
     def test_shard_death_at_boot_leaves_nothing_stray(self, caplog):
         async def scenario():

@@ -262,3 +262,42 @@ def test_serving_options_are_pinned(command):
         if not isinstance(action, argparse._HelpAction)
     ]
     assert options == SERVING_OPTIONS[command]
+
+
+class TestServeStartupErrors:
+    @pytest.mark.parametrize("shards", [[], ["--shards", "2"]])
+    def test_zero_queue_bound_exits_before_serving(self, shards):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "serve", "--detector", "modsecurity", "--queue-bound", "0",
+                *shards,
+            ])
+        assert str(excinfo.value) == "repro: queue_bound must be >= 1, got 0"
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_taken_port_exits_with_one_line(self, shards):
+        import socket
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = holder.getsockname()[1]
+            result = subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "serve",
+                    "--detector", "modsecurity",
+                    "--port", str(port), "--shards", shards,
+                ],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        assert result.returncode != 0
+        assert result.stderr == (
+            f"repro: cannot listen on 127.0.0.1:{port}: "
+            f"Address already in use\n"
+        )
